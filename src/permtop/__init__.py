@@ -44,6 +44,5 @@ from .errors import (BadCardinality, BadResidueShift, CarrierMismatch,
                      PermtopError, PointNotInSupport, PointwiseFixed,
                      SpecMismatch, SupportTooLarge, SupportTooSmall, TooLarge,
                      ValidationError, WindowTooSmall, WitnessError, ZeroExponent)
-from .kernels import backend as kernel_backend
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Centralizer predicates and finite-window double centralizers.
 
 Centralizers inside the full infinite group are only ever exposed as
-membership predicates. Double centralizers are brute-forced inside a
+membership predicates. Double centralizers are computed exactly inside a
 finite window of points, which is legitimate because the centralizer of
 the finite symmetric group on A is exactly the pointwise stabilizer of A
 once |A| >= 3, making window answers stable under enlargement.
@@ -9,11 +9,11 @@ once |A| >= 3, making window answers stable under enlargement.
 
 from __future__ import annotations
 
-from array import array
-from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from collections import Counter
+from itertools import combinations, permutations, product
+from math import factorial, prod
+from typing import Iterable, Iterator, Sequence
 
-from . import kernels
 from .errors import BadCardinality, FiniteSupport, InfiniteSupport, WindowTooSmall
 from .perm import ResiduePerm, from_mapping, transposition
 
@@ -66,77 +66,95 @@ def centralizer_equals_stabilizer(points: Iterable[int], window: Iterable[int]) 
     return True
 
 
-_ROW_CACHE: dict[int, tuple[array, int]] = {}
+def _cycles(row: Sequence[int]) -> list[list[int]]:
+    seen = [False] * len(row)
+    out = []
+    for start in range(len(row)):
+        cycle = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(x)
+            x = row[x]
+        if cycle:
+            out.append(cycle)
+    return out
 
 
-def _window_rows(n: int) -> tuple[array, int]:
-    """All permutations of range(n) as one flat row-major array, lex order."""
-    cached = _ROW_CACHE.get(n)
-    if cached is None:
-        flat = array("i")
-        for perm in permutations(range(n)):
-            flat.extend(perm)
-        cached = (flat, n and len(flat) // n or 1)
-        _ROW_CACHE[n] = cached
-    return cached
+def _centralizer_order(row: Sequence[int]) -> int:
+    """|C(h)| = prod over cycle lengths k of k^m_k * m_k!, m_k cycles of length k."""
+    by_len = Counter(len(c) for c in _cycles(row))
+    return prod(k ** m * factorial(m) for k, m in by_len.items())
 
 
-def _row_commutes(flat: array, base: int, h: Sequence[int], n: int) -> bool:
-    for i in range(n):
-        if flat[base + h[i]] != h[flat[base + i]]:
-            return False
-    return True
+def _centralizer(row: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every permutation of range(len(row)) commuting with h = row.
+
+    g commutes with h iff g maps each cycle of h onto a cycle of the same
+    length, rotated: C(h) is the product of the wreath products C_k wr S_m_k
+    over the cycle lengths k of h.
+    """
+    by_len: dict[int, list[list[int]]] = {}
+    for cycle in _cycles(row):
+        by_len.setdefault(len(cycle), []).append(cycle)
+    blocks = []
+    for k, cycles in by_len.items():
+        blocks.append([[(src[t], dst[(t + r) % k])
+                        for src, dst, r in zip(cycles, targets, turns)
+                        for t in range(k)]
+                       for targets in permutations(cycles)
+                       for turns in product(range(k), repeat=len(cycles))])
+    g = [0] * len(row)
+    for choice in product(*blocks):
+        for pairs in choice:
+            for a, b in pairs:
+                g[a] = b
+        yield tuple(g)
+
+
+def _commute(a: Sequence[int], b: Sequence[int]) -> bool:
+    return all(a[b[i]] == b[a[i]] for i in range(len(a)))
 
 
 def double_centralizer_window(perms: Sequence[ResiduePerm],
                               window: Iterable[int]) -> list[ResiduePerm]:
     """c(c(F)) computed inside the symmetric group on the window.
 
-    Output in lexicographic one-line order. The second centralizer pass
-    filters the whole window group by one largest-support member of c(F)
-    first; survivors of that single strong filter are then verified
-    against every member.
+    Output in lexicographic one-line order. Each centralizer is enumerated
+    from the cycle type of its one member with the smallest centralizer,
+    then filtered by commuting with the rest: c(F) from the non-identity
+    members of F, c(c(F)) from the members of c(F). With no non-identity
+    member c(F) is the whole window group, represented by its generators
+    (0 1) and the n-cycle.
     """
     win = sorted(set(window))
     if not win:
         raise WindowTooSmall("empty window")
     n = len(win)
     pos = {p: i for i, p in enumerate(win)}
-    rows_f: list[array] = []
+    rows_f: list[tuple[int, ...]] = []
     for f in perms:
         if not f.has_finite_support():
             raise InfiniteSupport()
         moved = f.moved_points()
         if not set(moved) <= set(win):
             raise WindowTooSmall(f"window misses {sorted(set(moved) - set(win))}")
-        rows_f.append(array("i", (pos[f.apply(p)] for p in win)))
+        rows_f.append(tuple(pos[f.apply(p)] for p in win))
 
-    flat, nrows = _window_rows(n)
-    mask = b"\x01" * nrows
-    for row in rows_f:
-        other = kernels.commuting_rows(flat, n, row)
-        mask = (int.from_bytes(mask, "little")
-                & int.from_bytes(other, "little")).to_bytes(nrows, "little")
-    c1 = [i for i, hit in enumerate(mask) if hit]
+    def centralizer_of(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        h = min(rows, key=_centralizer_order)
+        return [g for g in _centralizer(h) if all(_commute(g, r) for r in rows)]
 
-    # strongest filter first: a member moving the most window points has
-    # the smallest centralizer
-    def row_support(i: int) -> int:
-        base = i * n
-        return sum(1 for j in range(n) if flat[base + j] != j)
-
-    c1_rows = [array("i", flat[i * n:(i + 1) * n]) for i in c1]
-    order = sorted(range(len(c1)), key=lambda t: row_support(c1[t]), reverse=True)
-    strong = c1_rows[order[0]]
-    cand = kernels.commuting_rows(flat, n, strong)
-    out = []
-    for i, hit in enumerate(cand):
-        if not hit:
-            continue
-        base = i * n
-        if all(_row_commutes(flat, base, c1_rows[t], n) for t in order):
-            out.append(from_mapping({win[j]: win[flat[base + j]] for j in range(n)}))
-    return out
+    ident = tuple(range(n))
+    moving = [r for r in rows_f if r != ident]
+    if moving:
+        c1 = centralizer_of(moving)
+    else:
+        c1 = [ident[1:] + ident[:1]]
+        if n > 1:
+            c1.append((1, 0) + ident[2:])
+    return [from_mapping({win[j]: win[g[j]] for j in range(n)})
+            for g in sorted(centralizer_of(c1))]
 
 
 def centralizer_not_open_witness(g: ResiduePerm, points: Iterable[int]) -> ResiduePerm:

@@ -1,33 +1,54 @@
-"""Kernel dispatch: compiled extension when built, pure Python otherwise.
+"""Solution sets of one-variable word inequalities over a Cayley table.
 
-Set PERMTOP_PURE=1 to force the fallback. Both backends implement the
-same contracts (see _kernels_py); the compiled word kernel only covers
-groups of at most 128 elements, larger inputs fall through per call.
+Group elements are indices into a flat row-major Cayley table with the
+identity at index 0.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
-from . import _kernels_py
 
-if os.environ.get("PERMTOP_PURE"):
-    _impl = _kernels_py
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _kernels_py
+def word_inequality_masks(mul: Sequence[int], n: int, max_vars: int) -> list[int]:
+    """Distinct masks {x : w(x) != identity} over all words in one unknown.
 
-backend = "pure" if _impl is _kernels_py else "compiled"
+    Words are alternating products x^(+-1) c_0 x^(+-1) c_1 ... c_(m-1) with
+    m <= max_vars variable occurrences and constants ranging over the whole
+    group (identity included, so adjacent variables arise as a special
+    case). Bit x of a mask is set iff the word evaluates off the identity
+    at element x.
 
+    Each prefix P = x^s_0 c_0 ... x^s_(m-1) is evaluated once, as the
+    vector of its values: w(x) != 1 iff P(x) != c_(m-1)^-1, and c_(m-1)^-1
+    ranges over the whole group, so the masks of all words sharing P are
+    the complements of P's fibers, empty fibers giving the full mask.
+    """
+    inv = [0] * n
+    for x in range(n):
+        for y in range(n):
+            if mul[x * n + y] == 0:
+                inv[x] = y
+                break
+    full = (1 << n) - 1
+    bit = [1 << x for x in range(n)]
+    powers = (list(range(n)), inv)  # x -> x and x -> x^-1
+    masks: set[int] = set()
 
-def commuting_rows(flat, width: int, h) -> bytes:
-    return _impl.commuting_rows(flat, width, h)
+    def visit(prefix: list[int], depth: int) -> None:
+        fibers: dict[int, int] = {}
+        for x, y in enumerate(prefix):
+            fibers[y] = fibers.get(y, 0) | bit[x]
+        masks.update(full ^ f for f in fibers.values())
+        if len(fibers) < n:
+            masks.add(full)
+        if depth == max_vars:
+            return
+        for c in range(n):
+            rows = [mul[y * n + c] * n for y in prefix]
+            for power in powers:
+                visit([mul[r + v] for r, v in zip(rows, power)], depth + 1)
 
-
-def word_inequality_masks(mul, n: int, max_vars: int) -> list[int]:
-    if _impl is not _kernels_py and (n > 128 or max_vars > 8):
-        return _kernels_py.word_inequality_masks(mul, n, max_vars)
-    return _impl.word_inequality_masks(mul, n, max_vars)
+    if max_vars >= 1:
+        for power in powers:
+            visit(power, 1)
+    return sorted(masks)

@@ -197,6 +197,10 @@ def _involutions(g: FiniteGroup) -> list[int]:
 def generate_subbase(group: FiniteGroup, spec: SubbaseSpec) -> tuple[int, ...]:
     """The full deduplicated sub-base family as sorted bitmasks."""
     n = group.order
+    if spec.kind != "tp" and not group.has_table:
+        # the other families scan the group once per pair of elements, or
+        # per constant tuple of a word: refuse orders too big to tabulate
+        raise TooLarge(f"{spec.kind} sub-base needs a materialized table")
     masks: set[int] = set()
     if spec.kind == "tp":
         if not group.has_realization:
@@ -238,8 +242,6 @@ def generate_subbase(group: FiniteGroup, spec: SubbaseSpec) -> tuple[int, ...]:
                         m |= 1 << x
                 masks.add(m)
     else:  # zariski
-        if not group.has_table:
-            raise TooLarge("word enumeration needs a materialized table")
         masks.update(kernels.word_inequality_masks(
             group._flat, n, spec.max_word_len))
     return tuple(sorted(masks))

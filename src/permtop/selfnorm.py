@@ -115,22 +115,6 @@ def generator(k: int) -> FreeWord:
     return FreeWord(((k, 1),))
 
 
-def reduce_word(raw: Iterable[tuple[int, int]]) -> FreeWord:
-    return FreeWord.from_raw(raw)
-
-
-def multiply(v: FreeWord, w: FreeWord) -> FreeWord:
-    return v * w
-
-
-def invert(v: FreeWord) -> FreeWord:
-    return v.inverse()
-
-
-def shift(v: FreeWord, n: int) -> FreeWord:
-    return v.shifted(n)
-
-
 def letters(v: FreeWord) -> set[int]:
     return v.letters()
 
@@ -178,10 +162,6 @@ def sd_conj(h: SDElement, w: SDElement) -> SDElement:
 
 def word_element(v: FreeWord) -> SDElement:
     return SDElement(v, 0)
-
-
-def shift_element(n: int) -> SDElement:
-    return SDElement(ONE, n)
 
 
 class ThinSet:

@@ -1,3 +1,6 @@
+from itertools import permutations
+from random import Random
+
 import pytest
 
 from permtop import ResiduePerm, commutes
@@ -125,3 +128,33 @@ def test_centralizer_not_open_witness_random(rng):
         t = centralizer_not_open_witness(g, avoid)
         assert not commutes(t, g)
         assert all(t.apply(p) == p for p in avoid)
+
+
+def window_scan_double_centralizer(perms, n):
+    """Reference: c(c(F)) by scanning all n! permutations of range(n) twice."""
+    rows = list(permutations(range(n)))
+    fs = [tuple(f.apply(x) for x in range(n)) for f in perms]
+
+    def commute(a, b):
+        return all(a[b[i]] == b[a[i]] for i in range(n))
+
+    c1 = [r for r in rows if all(commute(r, f) for f in fs)]
+    return [r for r in rows if all(commute(r, c) for c in c1)]
+
+
+def window_families(n):
+    rng = Random(n)
+    yield from ([random_finite_perm(rng, min(n, 4)) for _ in range(rng.randint(1, 3))]
+                for _ in range(8))
+    yield []
+    yield [identity()]
+    yield [identity(), identity()]
+    yield [transposition(i, i + 1) for i in range(n - 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_double_centralizer_matches_window_scan(n):
+    for perms in window_families(n):
+        got = double_centralizer_window(perms, range(n))
+        assert [tuple(p.apply(x) for x in range(n)) for p in got] == \
+            window_scan_double_centralizer(perms, n), perms

@@ -1,98 +1,69 @@
-import os
-import subprocess
-import sys
-from itertools import permutations
+from itertools import product
 
 import pytest
 
-import permtop
-from permtop import _kernels_py, kernels
+from permtop.kernels import word_inequality_masks
 from permtop.oracle import FiniteGroup
 
-try:
-    from permtop import _speedups
-except ImportError:
-    _speedups = None
 
-needs_compiled = pytest.mark.skipif(_speedups is None,
-                                    reason="compiled backend not built")
-
-
-def window_flat(n):
-    rows = sorted(permutations(range(n)))
-    return [v for row in rows for v in row], rows
-
-
-def test_backend_reports_something_sane():
-    assert kernels.backend in ("pure", "compiled")
-
-
-def test_commuting_rows_matches_brute_force(rng):
-    for n in (1, 2, 3, 4):
-        flat, rows = window_flat(n)
-        for h in rows:
-            got = _kernels_py.commuting_rows(flat, n, h)
-            for i, r in enumerate(rows):
-                brute = all(r[h[x]] == h[r[x]] for x in range(n))
-                assert got[i] == int(brute)
+def brute_word_masks(mul, n, max_vars):
+    """Reference: evaluate every word x^s0 c0 ... x^s(m-1) c(m-1) at every x."""
+    inv = [next(y for y in range(n) if mul[x * n + y] == 0) for x in range(n)]
+    masks = set()
+    for m in range(1, max_vars + 1):
+        for signs in product((False, True), repeat=m):
+            for consts in product(range(n), repeat=m):
+                mask = 0
+                for x in range(n):
+                    acc = 0
+                    for s, c in zip(signs, consts):
+                        acc = mul[mul[acc * n + (inv[x] if s else x)] * n + c]
+                    if acc:
+                        mask |= 1 << x
+                masks.add(mask)
+    return sorted(masks)
 
 
-def test_commuting_rows_empty_window():
-    assert _kernels_py.commuting_rows([], 0, []) == b"\x01"
+def dihedral_table_text(k):
+    """Cayley table of the dihedral group of order 2k; r^i s^j has index i + k j."""
+    n = 2 * k
+    rows = []
+    for a in range(n):
+        i, j = a % k, a // k
+        row = []
+        for b in range(n):
+            c, d = b % k, b // k
+            row.append((i + (c if j == 0 else -c)) % k + k * ((j + d) % 2))
+        rows.append(" ".join(map(str, row)))
+    return f"{n}\n" + "\n".join(rows)
+
+
+Z4 = FiniteGroup.from_table_text("4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2")
+D4 = FiniteGroup.from_table_text(dihedral_table_text(4))
 
 
 def test_word_inequality_masks_s3_single_variable():
     g = FiniteGroup.symmetric(3)
-    masks = kernels.word_inequality_masks(g._flat, 6, 1)
+    masks = word_inequality_masks(g._flat, 6, 1)
     # solution sets of one-variable inequalities are the co-singletons
     assert masks == sorted(63 ^ (1 << i) for i in range(6))
 
 
-@needs_compiled
-def test_commuting_rows_differential(rng):
-    from array import array
-
-    for n in (1, 2, 3, 4, 5):
-        flat, rows = window_flat(n)
-        buf = array("i", flat)
-        for _ in range(10):
-            h = array("i", rows[rng.randrange(len(rows))])
-            assert _speedups.commuting_rows(buf, n, h) == \
-                _kernels_py.commuting_rows(buf, n, h)
-
-
-@needs_compiled
-def test_word_inequality_masks_differential():
-    for order, flat in (
-        (6, FiniteGroup.symmetric(3)._flat),
-        (4, FiniteGroup.from_table_text("4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2")._flat),
-    ):
-        for max_vars in (1, 2, 3):
-            assert _speedups.word_inequality_masks(flat, order, max_vars) == \
-                _kernels_py.word_inequality_masks(flat, order, max_vars)
+@pytest.mark.parametrize("group, max_vars", [
+    *[(FiniteGroup.symmetric(3), m) for m in (0, 1, 2, 3)],
+    *[(FiniteGroup.symmetric(4), m) for m in (1, 2)],
+    *[(Z4, m) for m in (1, 2, 3)],
+    *[(D4, m) for m in (1, 2, 3)],
+])
+def test_word_masks_match_brute_force(group, max_vars):
+    n = group.order
+    assert word_inequality_masks(group._flat, n, max_vars) == \
+        brute_word_masks(group._flat, n, max_vars)
 
 
-def test_word_kernel_large_group_falls_through():
-    # cyclic group above the compiled width limit must still work
+def test_word_masks_match_brute_force_cyclic_130():
     n = 130
     flat = [(i + j) % n for i in range(n) for j in range(n)]
-    got = kernels.word_inequality_masks(flat, n, 1)
-    assert got == _kernels_py.word_inequality_masks(flat, n, 1)
+    got = word_inequality_masks(flat, n, 1)
+    assert got == brute_word_masks(flat, n, 1)
     assert len(got) > 0
-
-
-def test_pure_env_forces_fallback():
-    # The child inherits the parent's environment, with the directory that
-    # holds the imported permtop first on its path, so it finds the same
-    # package whether it was installed or reached through PYTHONPATH.
-    pkg_root = os.path.dirname(os.path.dirname(permtop.__file__))
-    env = dict(os.environ, PERMTOP_PURE="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (pkg_root, env.get("PYTHONPATH")) if p)
-    code = ("import permtop.kernels as k; print(k.backend)")
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env=env,
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "pure"

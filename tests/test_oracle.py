@@ -147,8 +147,9 @@ def test_subbase_guards():
     with pytest.raises(SpecMismatch):
         generate_subbase(table_only, SubbaseSpec("tp"))
     lazy = FiniteGroup.symmetric(7)
-    with pytest.raises(TooLarge):
-        generate_subbase(lazy, SubbaseSpec("zariski"))
+    for kind in ("zariski", "zpp", "zp", "cent"):
+        with pytest.raises(TooLarge):
+            generate_subbase(lazy, SubbaseSpec(kind))
 
 
 def test_all_subbases_discrete_on_s4():
