@@ -1,10 +1,15 @@
-"""Brute-force ground truth on finite groups.
+"""Exhaustive ground truth on finite groups.
 
 Finite topologies are Alexandrov: a sub-base family is fully described by
 the map g -> min(g), the intersection of generated sets containing g.
 Everything downstream (discreteness, comparison, continuity of the group
 operations) is decided from that map. Subsets of the group are bitmasks
 over element indices; the identity always has index 0.
+
+The conjugation families `cent`, `zpp` and `zp` come from the fibers of
+x -> x b x^-1, which are the left cosets of the centralizer C(b): one pass
+over the group per b, O(n^2) in all (see `generate_subbase` for why the
+`zp` sets are unions of such fibers).
 """
 
 from __future__ import annotations
@@ -37,6 +42,10 @@ class FiniteGroup:
     # table is quadratic in the order and composition is cheap anyway.
     EAGER_TABLE_LIMIT = 1000
     FILE_ORDER_LIMIT = 200
+    # Bound on the table entries the zariski word enumeration computes (and
+    # on the masks it can emit): admits S6 at word length 2 (about 2.1e6),
+    # refuses S5 at length 3 (about 1.4e7).
+    WORD_WORK_LIMIT = 5_000_000
 
     def __init__(self, order: int, flat: array | None, names: list[str],
                  rows: list[tuple[int, ...]] | None):
@@ -194,13 +203,37 @@ def _involutions(g: FiniteGroup) -> list[int]:
     return [b for b in range(g.order) if g.mul(b, b) == 0]
 
 
+def _conj_fibers(g: FiniteGroup, b: int) -> dict[int, int]:
+    """d -> {x : x b x^-1 = d} as a mask; these are the left cosets of C(b)."""
+    fibers: dict[int, int] = {}
+    for x in range(g.order):
+        d = g.conj(x, b)
+        fibers[d] = fibers.get(d, 0) | 1 << x
+    return fibers
+
+
+def _word_work(n: int, max_word_len: int) -> int:
+    """Table entries `word_inequality_masks` computes: each of the
+    2 (2n)^(m-1) prefixes with m variable occurrences is a vector of n."""
+    return n * sum(2 * (2 * n) ** (m - 1) for m in range(1, max_word_len + 1))
+
+
 def generate_subbase(group: FiniteGroup, spec: SubbaseSpec) -> tuple[int, ...]:
-    """The full deduplicated sub-base family as sorted bitmasks."""
+    """The full deduplicated sub-base family as sorted bitmasks.
+
+    `cent`, `zpp` and `zp` are read off the conjugation fibers of each b,
+    the left cosets a C(b) = {x : x b x^-1 = a b a^-1}: `cent` is every
+    fiber, `zpp` every complement of a fiber of an involution b. The `zp`
+    set {x : (x c x^-1) b (x c x^-1)^-1 != b} of involutions b, c is the
+    union of the fibers of c whose conjugate d does not commute with b,
+    since d b d^-1 = b iff d b = b d.
+    """
     n = group.order
     if spec.kind != "tp" and not group.has_table:
-        # the other families scan the group once per pair of elements, or
-        # per constant tuple of a word: refuse orders too big to tabulate
+        # the other families scan the group once per element, or per
+        # constant tuple of a word: refuse orders too big to tabulate
         raise TooLarge(f"{spec.kind} sub-base needs a materialized table")
+    full = (1 << n) - 1
     masks: set[int] = set()
     if spec.kind == "tp":
         if not group.has_realization:
@@ -214,34 +247,27 @@ def generate_subbase(group: FiniteGroup, spec: SubbaseSpec) -> tuple[int, ...]:
                         m |= 1 << i
                 masks.add(m)
     elif spec.kind in ("zpp", "zp"):
-        invs = _involutions(group)
-        for b in invs:
-            for a in range(n):
-                rhs = group.conj(a, b)
-                m = 0
-                for x in range(n):
-                    if group.conj(x, b) != rhs:
-                        m |= 1 << x
-                masks.add(m)
+        fibers = {b: _conj_fibers(group, b) for b in _involutions(group)}
+        for fb in fibers.values():
+            masks.update(full ^ f for f in fb.values())
         if spec.kind == "zp":
-            for b in invs:
-                for c in invs:
-                    m = 0
-                    for x in range(n):
-                        d = group.conj(x, c)
-                        if group.conj(d, b) != b:
-                            m |= 1 << x
+            mul = group.mul
+            for b in fibers:
+                for fc in fibers.values():
+                    m = full
+                    for d, f in fc.items():
+                        if mul(d, b) == mul(b, d):
+                            m ^= f
                     masks.add(m)
     elif spec.kind == "cent":
         for b in range(n):
-            for a in range(n):
-                rhs = group.conj(a, b)
-                m = 0
-                for x in range(n):
-                    if group.conj(x, b) == rhs:
-                        m |= 1 << x
-                masks.add(m)
+            masks.update(_conj_fibers(group, b).values())
     else:  # zariski
+        work = _word_work(n, spec.max_word_len)
+        if work > FiniteGroup.WORD_WORK_LIMIT:
+            raise TooLarge(f"zariski sub-base of length {spec.max_word_len} on "
+                           f"order {n} computes {work} table entries > "
+                           f"{FiniteGroup.WORD_WORK_LIMIT}")
         masks.update(kernels.word_inequality_masks(
             group._flat, n, spec.max_word_len))
     return tuple(sorted(masks))

@@ -190,9 +190,13 @@ class ResiduePerm:
     def __pow__(self, n: int) -> "ResiduePerm":
         if n < 0:
             return self.inverse() ** (-n)
-        out = ResiduePerm.identity()
-        for _ in range(n):
-            out = out * self
+        out, square = ResiduePerm.identity(), self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     # -- predicates ------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 A Report collects what a subcommand did: the flags it saw, the checks it
 made, and any witness literals it produced. Serialization is canonical,
-so the same invocation (including seed) yields byte-identical output.
+so the same invocation (including seed) yields byte-identical output; the
+JSON form also names the package version.
 Timings are the one nondeterministic field; they stay None unless the
 caller asks for them.
 """
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+
+from . import __version__
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,7 @@ class Report:
             "timings_ms": timings,
             "verdicts": [{"detail": v.detail, "name": v.name, "ok": v.ok}
                          for v in self.verdicts],
+            "version": __version__,
             "witnesses": list(self.witnesses),
         }
 

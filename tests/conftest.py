@@ -1,7 +1,8 @@
 """Shared test plumbing.
 
 The helpers here recheck package results by direct pointwise enumeration
-over a finite window; they never call back into the code path under test.
+over a finite window, or write out Cayley tables by formula; they never
+call back into the code path under test.
 """
 
 import random
@@ -34,3 +35,17 @@ def brute_moved(f, bound):
 def assert_pointwise_equal(f, g, bound=200):
     for x in range(bound):
         assert f.apply(x) == g.apply(x), (x, f.apply(x), g.apply(x))
+
+
+def dihedral_table_text(k):
+    """Cayley table of the dihedral group of order 2k; r^i s^j has index i + k j."""
+    n = 2 * k
+    rows = []
+    for a in range(n):
+        i, j = a % k, a // k
+        row = []
+        for b in range(n):
+            c, d = b % k, b // k
+            row.append((i + (c if j == 0 else -c)) % k + k * ((j + d) % 2))
+        rows.append(" ".join(map(str, row)))
+    return f"{n}\n" + "\n".join(rows)

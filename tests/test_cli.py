@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import permtop
 from permtop import cli
 from permtop.report import Check, Report
 
@@ -83,6 +84,7 @@ def test_json_output_is_canonical(capsys):
     payload = json.loads(out)
     assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
     assert payload["timings_ms"] is None
+    assert payload["version"] == permtop.__version__
 
 
 def test_runs_are_deterministic(capsys):
@@ -113,6 +115,12 @@ def test_oracle_command(capsys):
     code, out, err = run(capsys, "oracle", "--group", "sn:99")
     assert code == 2
     assert "error:" in err
+    # refused up front: the word enumeration would compute ~1.4e7 entries
+    code, out, err = run(capsys, "oracle", "--group", "sn:5",
+                         "--subbases", "zariski", "--max-word-len", "3")
+    assert code == 2
+    assert out == ""
+    assert "zariski" in err
 
 
 def test_witness_closed_ball(capsys):

@@ -5,6 +5,8 @@ import pytest
 from permtop.kernels import word_inequality_masks
 from permtop.oracle import FiniteGroup
 
+from conftest import dihedral_table_text
+
 
 def brute_word_masks(mul, n, max_vars):
     """Reference: evaluate every word x^s0 c0 ... x^s(m-1) c(m-1) at every x."""
@@ -22,20 +24,6 @@ def brute_word_masks(mul, n, max_vars):
                         mask |= 1 << x
                 masks.add(mask)
     return sorted(masks)
-
-
-def dihedral_table_text(k):
-    """Cayley table of the dihedral group of order 2k; r^i s^j has index i + k j."""
-    n = 2 * k
-    rows = []
-    for a in range(n):
-        i, j = a % k, a // k
-        row = []
-        for b in range(n):
-            c, d = b % k, b // k
-            row.append((i + (c if j == 0 else -c)) % k + k * ((j + d) % 2))
-        rows.append(" ".join(map(str, row)))
-    return f"{n}\n" + "\n".join(rows)
 
 
 Z4 = FiniteGroup.from_table_text("4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2")

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import dihedral_table_text
 from permtop.errors import CarrierMismatch, NotAGroup, SpecMismatch, TooLarge
 from permtop.oracle import (
     Comparison,
@@ -26,6 +27,16 @@ LOOP5_TEXT = """5
 2 3 4 0 1
 3 4 1 2 0
 4 2 0 1 3"""
+
+
+def cyclic_table_text(n):
+    return f"{n}\n" + "\n".join(" ".join(str((i + j) % n) for j in range(n))
+                                 for i in range(n))
+
+
+@pytest.fixture(scope="module")
+def s6():
+    return FiniteGroup.symmetric(6)
 
 
 def test_symmetric_group_basics():
@@ -142,7 +153,7 @@ def test_zariski_subbase_on_s3():
     assert fam == tuple(sorted(63 ^ (1 << i) for i in range(6)))
 
 
-def test_subbase_guards():
+def test_subbase_guards(s6, monkeypatch):
     table_only = FiniteGroup.from_table_text(Z4_TEXT)
     with pytest.raises(SpecMismatch):
         generate_subbase(table_only, SubbaseSpec("tp"))
@@ -150,6 +161,86 @@ def test_subbase_guards():
     for kind in ("zariski", "zpp", "zp", "cent"):
         with pytest.raises(TooLarge):
             generate_subbase(lazy, SubbaseSpec(kind))
+    # tabulated, but the word enumeration is refused before it starts:
+    # about 1.4e7 table entries on S5 and 3e9 on S6 at length 3; S6 at
+    # length 2 (about 2.1e6) is admitted
+    calls = []
+
+    def no_masks(mul, n, max_vars):
+        calls.append((n, max_vars))
+        return []
+
+    monkeypatch.setattr("permtop.oracle.kernels.word_inequality_masks", no_masks)
+    for group in (FiniteGroup.symmetric(5), s6):
+        with pytest.raises(TooLarge, match="zariski"):
+            generate_subbase(group, SubbaseSpec("zariski", max_word_len=3))
+    assert calls == []
+    assert generate_subbase(s6, SubbaseSpec("zariski", max_word_len=2)) == ()
+    assert calls == [(720, 2)]
+
+
+def reference_conj_family(group, kind):
+    """The O(n^3) scans: one pass over the group per pair (a, b) for `cent`
+    and `zpp`, and per pair of involutions (b, c) for the rest of `zp`."""
+    n = group.order
+    masks = set()
+    if kind in ("zpp", "zp"):
+        invs = [b for b in range(n) if group.mul(b, b) == 0]
+        for b in invs:
+            for a in range(n):
+                rhs = group.conj(a, b)
+                m = 0
+                for x in range(n):
+                    if group.conj(x, b) != rhs:
+                        m |= 1 << x
+                masks.add(m)
+        if kind == "zp":
+            for b in invs:
+                for c in invs:
+                    m = 0
+                    for x in range(n):
+                        d = group.conj(x, c)
+                        if group.conj(d, b) != b:
+                            m |= 1 << x
+                    masks.add(m)
+    else:  # cent
+        for b in range(n):
+            for a in range(n):
+                rhs = group.conj(a, b)
+                m = 0
+                for x in range(n):
+                    if group.conj(x, b) == rhs:
+                        m |= 1 << x
+                masks.add(m)
+    return tuple(sorted(masks))
+
+
+@pytest.mark.parametrize("source", ["sn:1", "sn:2", "sn:3", "sn:4", "sn:5",
+                                    "z4", "z6", "d8"])
+@pytest.mark.parametrize("kind", ["cent", "zpp", "zp"])
+def test_conjugation_families_match_reference(source, kind):
+    texts = {"z4": Z4_TEXT, "z6": cyclic_table_text(6),
+             "d8": dihedral_table_text(4)}
+    if source in texts:
+        group = FiniteGroup.from_table_text(texts[source])
+    else:
+        group = build_group(source)
+    assert generate_subbase(group, SubbaseSpec(kind)) == \
+        reference_conj_family(group, kind)
+
+
+def test_zpp_on_s6(s6):
+    # min(e) under zpp is the centralizer of the involutions, which is
+    # trivial in S6, and the topology is discrete
+    n = s6.order
+    invs = [b for b in range(n) if s6.mul(b, b) == 0]
+    assert len(invs) == 76
+    cent_invs = sum(1 << x for x in range(n)
+                    if all(s6.mul(x, b) == s6.mul(b, x) for b in invs))
+    assert cent_invs == 1
+    nbhd = min_neighborhoods(s6, generate_subbase(s6, SubbaseSpec("zpp")))
+    assert nbhd.masks[0] == cent_invs
+    assert topology_props(nbhd).discrete
 
 
 def test_all_subbases_discrete_on_s4():

@@ -20,6 +20,7 @@ from permtop.errors import (
     NegativeImage,
     NotBijective,
 )
+from permtop.literals import parse_perm
 from permtop.perm import identity, sigma, transposition
 from permtop.sampling import random_perm_mixed, random_residue_perm
 
@@ -123,6 +124,25 @@ def test_pow(rng):
     f = random_perm_mixed(rng)
     assert f**4 == f * f * f * f
     assert f**-3 == (f.inverse()) ** 3
+
+
+def test_pow_large_exponents():
+    # linear-time powering would not return from these
+    assert parse_perm("(0 1)^1000000001") == transposition(0, 1)
+    assert parse_perm("(0 1)^1000000000") == identity()
+    assert sigma() ** -7 == sigma()
+    c = ResiduePerm.from_cycles((0, 1, 2, 3, 4))
+    assert c ** (5 * 10**12 + 2) == c * c
+
+
+def test_pow_matches_repeated_products():
+    f = random_residue_perm(__import__("random").Random(11), infinite=True)
+    assert not f.has_finite_support()
+    product = identity()
+    for k in range(10):
+        assert f**k == product, k
+        assert f**-k == product.inverse(), k
+        product = product * f
 
 
 def test_support(rng):
