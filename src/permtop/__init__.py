@@ -10,9 +10,9 @@ suites together.
 """
 
 from .epset import EPSet
-from .perm import (ResiduePerm, commutes, compose, conjugate, equals, from_cycles,
-                   from_mapping, identity, image, inverse, is_involution,
-                   noncommuting_transposition, sigma, support, transposition)
+from .perm import (ResiduePerm, commutes, conjugate, from_cycles, from_mapping,
+                   identity, image, noncommuting_transposition, sigma, support,
+                   transposition)
 from .subbase import (ConjEq, ConjNeq, Const, DoubleConjNeq, FixesAll, GroupWord,
                       Intersection, OpenSetExpr, PointFiber, SupportIn, Var,
                       WordNeq, eval_word, member, tp_open_witness,
@@ -25,7 +25,7 @@ from .central import (centralizer_equals_stabilizer, centralizer_not_open_witnes
                       in_subgroup_centralizer)
 from .selfnorm import (FreeWord, Inconclusive, InSubgroup, MovesOut, SDElement,
                        ThinSet, certify_self_normalizing, in_free_factor,
-                       sd_conj, sd_inv, sd_mul, thin_check, word_element)
+                       sd_conj, thin_check, word_element)
 from .oracle import (Comparison, ContinuityReport, FiniteGroup, MinNbhdMap,
                      SubbaseSpec, TopologyProps, build_group, classify_continuity,
                      compare, generate_subbase, min_neighborhoods, set_is_open,

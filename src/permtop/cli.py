@@ -19,7 +19,7 @@ from .oracle import SubbaseSpec, build_group, compare, generate_subbase, \
 from .perm import commutes, identity, image
 from .report import Report
 from .selfnorm import InSubgroup, Inconclusive, MovesOut, certify_self_normalizing, \
-    generator, letters, sd_conj, word_element
+    generator, in_free_factor, sd_conj, word_element
 from .subbase import ConjNeq, member
 from .witness import EscapeInstance
 
@@ -213,8 +213,7 @@ def _run_selfnorm(args, rep: Report) -> None:
         rep.check("conjugate recomputed", conj == verdict.conjugate,
                   f"generator {verdict.witness}")
         rep.check("conjugate leaves the factor",
-                  conj.shift != 0
-                  or not all(l in a for l in letters(conj.word)))
+                  conj.shift != 0 or not in_free_factor(conj.word, a))
     else:
         assert isinstance(verdict, Inconclusive)
         rep.check("certificate found", False,

@@ -230,9 +230,6 @@ class ResiduePerm:
     def is_involution(self) -> bool:
         return (self * self).is_identity()
 
-    def commutes_with(self, other: "ResiduePerm") -> bool:
-        return self * other == other * self
-
     # -- identity ----------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -286,30 +283,13 @@ from_cycles = ResiduePerm.from_cycles
 from_mapping = ResiduePerm.from_mapping
 
 
-def compose(f: ResiduePerm, g: ResiduePerm) -> ResiduePerm:
-    """(f o g)(x) = f(g(x))."""
-    return f * g
-
-
-def inverse(f: ResiduePerm) -> ResiduePerm:
-    return f.inverse()
-
-
 def conjugate(g: ResiduePerm, f: ResiduePerm) -> ResiduePerm:
     """g f g^-1."""
     return g * f * g.inverse()
 
 
-def equals(f: ResiduePerm, g: ResiduePerm) -> bool:
-    return f == g
-
-
 def commutes(f: ResiduePerm, g: ResiduePerm) -> bool:
     return f * g == g * f
-
-
-def is_involution(f: ResiduePerm) -> bool:
-    return f.is_involution()
 
 
 def support(f: ResiduePerm) -> EPSet:

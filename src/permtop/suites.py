@@ -23,7 +23,7 @@ from .perm import commutes, conjugate, from_mapping, identity, image, sigma, sup
 from .sampling import random_finite_perm, random_involution, random_partition, \
     random_perm_mixed, random_residue_perm, random_sigma_type
 from .selfnorm import FreeWord, InSubgroup, Inconclusive, MovesOut, SDElement, \
-    ThinSet, certify_self_normalizing, generator, letters, sd_conj, word_element
+    ThinSet, certify_self_normalizing, generator, in_free_factor, sd_conj, word_element
 from .subbase import ConjNeq, member
 from .witness import EscapeInstance
 
@@ -318,8 +318,7 @@ def criterion_8(seed: int = 1, samples: int | None = None) -> CriterionResult:
         gens = sorted({k for k in range(17) if k in a} | {3, 5, 6})
         for raw in _reduced_words(gens, 4):
             word = FreeWord.from_raw(raw) if raw else FreeWord(())
-            lets = letters(word)
-            all_in = all(l in a for l in lets)
+            all_in = in_free_factor(word, a)
             for n in (-2, -1, 0, 1, 2):
                 total += 1
                 h = SDElement(word, n)
@@ -331,8 +330,7 @@ def criterion_8(seed: int = 1, samples: int | None = None) -> CriterionResult:
                     conj = sd_conj(h, word_element(generator(verdict.witness)))
                     if conj != verdict.conjugate:
                         problems.append(f"stale witness: {h.to_literal()}")
-                    elif conj.shift == 0 and all(l in a
-                                                 for l in letters(conj.word)):
+                    elif conj.shift == 0 and in_free_factor(conj.word, a):
                         problems.append(f"witness stays inside: {h.to_literal()}")
                 elif isinstance(verdict, Inconclusive):
                     inconclusive += 1

@@ -14,6 +14,7 @@ from permtop.selfnorm import (
     in_free_factor,
     sd_conj,
     thin_check,
+    word_element,
 )
 
 
@@ -193,3 +194,57 @@ def test_certify_exhaustive_small():
                 assert v == InSubgroup()
             else:
                 assert isinstance(v, MovesOut), (w, shift, v)
+
+
+def reference_certify(h, a, depth):
+    """The trial-conjugation certifier: multiply out h z_k h^-1 per k."""
+    if h.shift == 0 and in_free_factor(h.word, a):
+        return InSubgroup()
+    tried = []
+    hinv = h.inverse()
+    for k in a:
+        if len(tried) >= depth:
+            break
+        tried.append(k)
+        conj = h * word_element(generator(k)) * hinv
+        if conj.shift != 0 or not in_free_factor(conj.word, a):
+            return MovesOut(k, conj)
+    return Inconclusive(tuple(tried))
+
+
+@pytest.mark.parametrize("a", [
+    ThinSet.powers_of_two(),
+    ThinSet.squares(),
+    ThinSet.explicit((0, 5)),
+    ThinSet.explicit(()),
+    ThinSet.explicit((-1, 2)),
+], ids=lambda a: a.name)
+def test_certify_matches_trial_conjugation(a):
+    # every reduced word of up to 3 letters, shifts -3..3, depths 0, 1, 2, 10
+    letters = [(g, e) for g in (-1, 0, 1, 2, 3, 4, 5, 8) for e in (1, -1)]
+    raws = [[]]
+    frontier = [[]]
+    for _ in range(3):
+        frontier = [w + [x] for w in frontier for x in letters
+                    if not w or w[-1] != (x[0], -x[1])]
+        raws += frontier
+    for raw in raws:
+        word = FreeWord.from_raw(raw)
+        for shift in range(-3, 4):
+            h = SDElement(word, shift)
+            for depth in (0, 1, 2, 10):
+                assert certify_self_normalizing(h, a, depth) == \
+                    reference_certify(h, a, depth), (h, depth)
+
+
+def test_certify_does_no_group_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("group arithmetic in the certifier")
+
+    for cls, name in ((SDElement, "__mul__"), (SDElement, "inverse"),
+                      (FreeWord, "__mul__"), (FreeWord, "inverse")):
+        monkeypatch.setattr(cls, name, refuse)
+    p2 = ThinSet.powers_of_two()
+    u = FreeWord(((3, 1), (1, -2), (2, 1)))
+    for h in (SDElement(u, 0), SDElement(u, 2), SDElement(generator(1), -1)):
+        assert isinstance(certify_self_normalizing(h, p2), MovesOut)

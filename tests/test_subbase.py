@@ -1,6 +1,6 @@
 import pytest
 
-from permtop import ResiduePerm, compose, conjugate
+from permtop import ResiduePerm, conjugate
 from permtop.errors import InfiniteSupport, NotInvolution, NotMember, WitnessError
 from permtop.perm import identity, sigma, transposition
 from permtop.sampling import random_finite_perm, random_involution, random_perm_mixed
@@ -170,7 +170,7 @@ def test_tp_open_witness_pins_membership(rng):
         assert member(e, g)
         # adding moves away from the pinned points cannot leave the set
         fresh = max([p for p, _ in pairs] + [q for _, q in pairs] + [10]) + 1
-        g2 = compose(transposition(fresh, fresh + 1), g)
+        g2 = transposition(fresh, fresh + 1) * g
         assert member(e, g2)
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from permtop import EPSet, ResiduePerm, compose, image
+from permtop import EPSet, ResiduePerm, image
 from permtop.errors import FiniteSupport, Gap, OddModulus, Overlap
 from permtop.perm import identity, sigma, transposition
 from permtop.sampling import random_partition, random_residue_perm
@@ -69,10 +69,10 @@ def test_nbhd_member():
     assert nbhd_member(sigma(), sigma(), part)
     assert not nbhd_member(transposition(0, 1), sigma(), part)
     # a finite tweak inside one piece preserves both piece images
-    assert nbhd_member(compose(sigma(), transposition(0, 2)), sigma(), part)
+    assert nbhd_member(sigma() * transposition(0, 2), sigma(), part)
     # but a tweak across pieces shifts the image of the evens off the odds
-    assert not nbhd_member(compose(sigma(), transposition(0, 1)), sigma(), part)
-    assert not nbhd_member(compose(transposition(0, 1), sigma()), sigma(), part)
+    assert not nbhd_member(sigma() * transposition(0, 1), sigma(), part)
+    assert not nbhd_member(transposition(0, 1) * sigma(), sigma(), part)
 
 
 def test_disjoint_mover_set_frozen():
