@@ -10,6 +10,9 @@ The conjugation families `cent`, `zpp` and `zp` come from the fibers of
 x -> x b x^-1, which are the left cosets of the centralizer C(b): one pass
 over the group per b, O(n^2) in all (see `generate_subbase` for why the
 `zp` sets are unions of such fibers).
+
+Continuity is read off U = min(e): the translations are continuous iff
+min(g) = gU = Ug, and then the group is topological (`ContinuityReport`).
 """
 
 from __future__ import annotations
@@ -275,12 +278,18 @@ def generate_subbase(group: FiniteGroup, spec: SubbaseSpec) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class MinNbhdMap:
-    """g -> smallest generated open set containing g."""
+    """g -> smallest generated open set containing g. Only Alexandrov maps
+    are accepted: g in min(g), and min(h) inside min(g) for h in min(g)."""
     order: int
     masks: tuple[int, ...]
 
-    def bits(self, g: int) -> list[int]:
-        return mask_bits(self.masks[g])
+    def __post_init__(self):
+        if len(self.masks) != self.order:
+            raise SpecMismatch(f"{len(self.masks)} masks for order {self.order}")
+        for g, m in enumerate(self.masks):
+            if m >> self.order or not m >> g & 1 or any(
+                    self.masks[h] & ~m for h in mask_bits(m)):
+                raise SpecMismatch(f"min({g}) = {m:#b} is not an open set around {g}")
 
 
 def min_neighborhoods(group: FiniteGroup, family) -> MinNbhdMap:
@@ -321,10 +330,7 @@ class TopologyProps:
 
 def topology_props(nbhd: MinNbhdMap) -> TopologyProps:
     discrete = all(m == 1 << g for g, m in enumerate(nbhd.masks))
-    t1 = all(not (m >> h) & 1
-             for g, m in enumerate(nbhd.masks)
-             for h in range(nbhd.order) if h != g)
-    return TopologyProps(discrete, t1)
+    return TopologyProps(discrete, discrete)  # a finite T1 space is discrete
 
 
 @dataclass(frozen=True)
@@ -359,6 +365,14 @@ def compare(first: MinNbhdMap, second: MinNbhdMap) -> Comparison:
 
 @dataclass(frozen=True)
 class ContinuityReport:
+    """Continuity of x -> ax, xa (sep_mult); x -> xa^-1, ay^-1 (sep_q);
+    (x, y) -> xy (joint_mult), xy^-1 (joint_q); x -> xax^-1 (conjugators).
+
+    On a finite group the first four are equal. If min(g) = gU = Ug for all
+    g, then hU = min(h) lies in U for h in U, so U is a normal subgroup and
+    min(x) min(y)^-1 = xy^-1 U = min(xy^-1). Conversely the joint flags
+    restrict to the separate ones, and sep_q, with inversion as its a = e
+    case, composes to the translations."""
     sep_mult: bool
     sep_q: bool
     joint_mult: bool
@@ -394,35 +408,19 @@ class ContinuityReport:
 
 
 def classify_continuity(group: FiniteGroup, nbhd: MinNbhdMap) -> ContinuityReport:
+    """Translations: a min(x) in min(ax) for all a, x iff min(a) = aU, and
+    likewise on the right. Conjugations: v a v^-1 = w b w^-1 with w = vx^-1
+    and b = xax^-1, so they are continuous iff w b w^-1 lies in min(b) for
+    all b and all w in W = {vx^-1 : v in min(x)}. O(n^2) products."""
     n = group.order
-    mul = group.mul
-    inv = group.inverse
+    if nbhd.order != n:
+        raise CarrierMismatch(n, nbhd.order)
     masks = nbhd.masks
-    bits = [mask_bits(m) for m in masks]
-
-    def unary(fn) -> bool:
-        for x in range(n):
-            target = masks[fn(x)]
-            for u in bits[x]:
-                if not (target >> fn(u)) & 1:
-                    return False
-        return True
-
-    def joint(op) -> bool:
-        for x in range(n):
-            for y in range(n):
-                target = masks[op(x, y)]
-                for u in bits[x]:
-                    for v in bits[y]:
-                        if not (target >> op(u, v)) & 1:
-                            return False
-        return True
-
-    sep_mult = all(unary(lambda x, a=a: mul(a, x)) and unary(lambda x, a=a: mul(x, a))
-                   for a in range(n))
-    sep_q = all(unary(lambda x, a=a: mul(x, inv[a])) and unary(lambda y, a=a: mul(a, inv[y]))
-                for a in range(n))
-    joint_mult = joint(mul)
-    joint_q = joint(lambda u, v: mul(u, inv[v]))
-    conjugators = all(unary(lambda x, a=a: mul(mul(x, a), inv[x])) for a in range(n))
-    return ContinuityReport(sep_mult, sep_q, joint_mult, joint_q, conjugators)
+    translations = all(masks[g] == translate_set(group, g, masks[0], 0)
+                       == translate_set(group, 0, masks[0], g) for g in range(n))
+    shifts = {group.mul(v, group.inverse[x])
+              for x in range(n) for v in mask_bits(masks[x])}
+    conjugators = all(masks[b] >> group.conj(w, b) & 1
+                      for w in shifts for b in range(n))
+    return ContinuityReport(translations, translations, translations,
+                            translations, conjugators)

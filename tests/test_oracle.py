@@ -1,9 +1,13 @@
+import random
+from array import array
+
 import pytest
 
 from conftest import dihedral_table_text
 from permtop.errors import CarrierMismatch, NotAGroup, SpecMismatch, TooLarge
 from permtop.oracle import (
     Comparison,
+    ContinuityReport,
     FiniteGroup,
     MinNbhdMap,
     SubbaseSpec,
@@ -340,3 +344,177 @@ def test_classify_continuity_indiscrete():
     full = 0b1111
     rep = classify_continuity(g, MinNbhdMap(4, (full,) * 4))
     assert rep.joint_q and rep.labels[0] == "topological"
+
+
+def test_mismatched_and_non_alexandrov_maps_rejected():
+    g = FiniteGroup.symmetric(3)
+    with pytest.raises(CarrierMismatch):
+        classify_continuity(g, MinNbhdMap(2, (1, 2)))
+    bad = [
+        (6, (1, 2)),                              # too few masks
+        (4, (0b0011, 0b0110, 0b1100, 0b1001)),    # min(1) not inside min(0)
+        (2, (0b10, 0b10)),                        # min(0) misses 0
+        (2, (0b101, 0b10)),                       # bit beyond the carrier
+        (2, (-1, 0b10)),
+    ]
+    for order, masks in bad:
+        with pytest.raises(SpecMismatch):
+            MinNbhdMap(order, masks)
+
+
+def test_min_nbhd_map_accepts_exactly_preorders():
+    # min(g) is the down-set of g in the preorder "h in min(g)": accepted
+    # iff that relation is reflexive and transitive
+    rng = random.Random(6)
+    accepted = 0
+    for _ in range(400):
+        masks = tuple(rng.getrandbits(4) for _ in range(4))
+        rel = {(g, h) for g in range(4) for h in range(4) if masks[g] >> h & 1}
+        preorder = all((g, g) in rel for g in range(4)) and all(
+            (g, k) in rel for g, h in rel for h2, k in rel if h == h2)
+        try:
+            MinNbhdMap(4, masks)
+        except SpecMismatch:
+            assert not preorder, masks
+        else:
+            assert preorder, masks
+            accepted += 1
+    assert accepted > 0
+
+
+def reference_classify_continuity(group, nbhd):
+    """The O(n^2 |U|^2) scan: every operation is checked to send the
+    minimal neighborhoods of its arguments into that of its value."""
+    n = group.order
+    mul = group.mul
+    inv = group.inverse
+    masks = nbhd.masks
+    bits = [mask_bits(m) for m in masks]
+
+    def unary(fn) -> bool:
+        for x in range(n):
+            target = masks[fn(x)]
+            for u in bits[x]:
+                if not (target >> fn(u)) & 1:
+                    return False
+        return True
+
+    def joint(op) -> bool:
+        for x in range(n):
+            for y in range(n):
+                target = masks[op(x, y)]
+                for u in bits[x]:
+                    for v in bits[y]:
+                        if not (target >> op(u, v)) & 1:
+                            return False
+        return True
+
+    sep_mult = all(unary(lambda x, a=a: mul(a, x)) and unary(lambda x, a=a: mul(x, a))
+                   for a in range(n))
+    sep_q = all(unary(lambda x, a=a: mul(x, inv[a])) and unary(lambda y, a=a: mul(a, inv[y]))
+                for a in range(n))
+    joint_mult = joint(mul)
+    joint_q = joint(lambda u, v: mul(u, inv[v]))
+    conjugators = all(unary(lambda x, a=a: mul(mul(x, a), inv[x])) for a in range(n))
+    return ContinuityReport(sep_mult, sep_q, joint_mult, joint_q, conjugators)
+
+
+def _cyclic_subgroup(group, c):
+    mask, x = 1, c
+    while x:
+        mask |= 1 << x
+        x = group.mul(x, c)
+    return mask
+
+
+def _differential_maps(group, rng):
+    """Every sub-base family, the left and the right cosets of every cyclic
+    subgroup, and the topologies of random families, both closed under
+    left translation and not. A random set is a union of left cosets of a
+    random cyclic subgroup H, so that min(e) contains H."""
+    n = group.order
+    kinds = ["tp"] if group.has_realization else []
+    kinds += ["zpp", "zp", "zariski", "cent"]
+    maps = [min_neighborhoods(group, generate_subbase(group, SubbaseSpec(k)))
+            for k in kinds]
+    subgroups = sorted({_cyclic_subgroup(group, c) for c in range(n)})
+    for h in subgroups:
+        maps.append(MinNbhdMap(n, tuple(translate_set(group, g, h, 0) for g in range(n))))
+        maps.append(MinNbhdMap(n, tuple(translate_set(group, 0, h, g) for g in range(n))))
+
+    def random_set(h):
+        out = 0
+        for x in mask_bits(rng.getrandbits(n) & rng.getrandbits(n)):
+            out |= translate_set(group, x, h, 0)
+        return out
+
+    # the reference scan is O(n^2 |U|^2), and these U are large
+    for _ in range(100 if n <= 8 else 50 if n <= 24 else 0):
+        h = rng.choice(subgroups)
+        seeds = [random_set(h) for _ in range(rng.randint(1, 3))]
+        maps.append(min_neighborhoods(group, seeds))
+        maps.append(min_neighborhoods(group, {translate_set(group, g, s, 0)
+                                              for s in seeds for g in range(n)}))
+    return maps
+
+
+@pytest.mark.parametrize("source", ["sn:1", "sn:2", "sn:3", "sn:4", "sn:5",
+                                    "z4", "z6", "z12", "d8", "d12"])
+def test_classify_continuity_matches_reference(source):
+    texts = {"z4": Z4_TEXT, "z6": cyclic_table_text(6), "z12": cyclic_table_text(12),
+             "d8": dihedral_table_text(4), "d12": dihedral_table_text(6)}
+    if source in texts:
+        group = FiniteGroup.from_table_text(texts[source])
+    else:
+        group = build_group(source)
+    maps = _differential_maps(group, random.Random(source))
+    if source == "z4":
+        maps += [MinNbhdMap(4, (0b0101, 0b0010, 0b0100, 0b1000)),
+                 MinNbhdMap(4, (0b1111,) * 4)]
+    outcomes = set()
+    for nbhd in maps:
+        got = classify_continuity(group, nbhd)
+        assert got == reference_classify_continuity(group, nbhd), nbhd
+        assert got.diagram_consistent()
+        outcomes.add(got)
+    if group.order > 2:
+        # both a group topology and a non-group topology were met
+        assert len({rep.joint_q for rep in outcomes}) == 2
+
+
+def _count_products(monkeypatch):
+    calls = [0]
+    mul = FiniteGroup.mul
+
+    def counted(self, i, j):
+        calls[0] += 1
+        return mul(self, i, j)
+
+    monkeypatch.setattr(FiniteGroup, "mul", counted)
+    return calls
+
+
+def test_classify_continuity_indiscrete_order_200(monkeypatch):
+    # cyclic of order 200, the largest table file accepted; `cent` is
+    # indiscrete on an abelian group (U = G), where the reference scan
+    # makes over n^4 = 1.6e9 products
+    n = 200
+    # built directly: the table is cyclic by formula, and checking its
+    # associativity as a table file is O(n^3)
+    group = FiniteGroup(n, array("i", [(i + j) % n for i in range(n) for j in range(n)]),
+                        [str(i) for i in range(n)], None)
+    nbhd = min_neighborhoods(group, generate_subbase(group, SubbaseSpec("cent")))
+    assert nbhd.masks == ((1 << n) - 1,) * n
+    calls = _count_products(monkeypatch)
+    rep = classify_continuity(group, nbhd)
+    assert rep == ContinuityReport(True, True, True, True, True)
+    assert calls[0] <= 8 * n * n
+
+
+def test_classify_continuity_discrete_s6(s6, monkeypatch):
+    nbhd = min_neighborhoods(s6, generate_subbase(s6, SubbaseSpec("tp")))
+    assert topology_props(nbhd).discrete
+    calls = _count_products(monkeypatch)
+    rep = classify_continuity(s6, nbhd)
+    assert rep == ContinuityReport(True, True, True, True, True)
+    assert calls[0] <= 8 * s6.order
