@@ -15,12 +15,12 @@ from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadCardinality, FiniteSupport, InfiniteSupport, WindowTooSmall
-from .perm import ResiduePerm, from_mapping, transposition
+from .perm import ResiduePerm, commutes, from_mapping, transposition
 
 
 def in_centralizer(f: ResiduePerm, perms: Iterable[ResiduePerm]) -> bool:
     """True iff f commutes with every listed permutation."""
-    return all(f * h == h * f for h in perms)
+    return all(commutes(f, h) for h in perms)
 
 
 def in_subgroup_centralizer(f: ResiduePerm, points: Iterable[int]) -> bool:

@@ -306,8 +306,14 @@ def min_neighborhoods(group: FiniteGroup, family) -> MinNbhdMap:
     return MinNbhdMap(n, tuple(out))
 
 
+def _check_mask(mask: int, order: int) -> None:
+    if mask < 0 or mask >> order:
+        raise SpecMismatch(f"mask {mask:#b} is not a set of {order} elements")
+
+
 def set_is_open(nbhd: MinNbhdMap, mask: int) -> bool:
     """Open in the generated topology iff it absorbs minimal neighborhoods."""
+    _check_mask(mask, nbhd.order)
     for g in mask_bits(mask):
         if nbhd.masks[g] & ~mask:
             return False
@@ -316,6 +322,7 @@ def set_is_open(nbhd: MinNbhdMap, mask: int) -> bool:
 
 def translate_set(group: FiniteGroup, s: int, mask: int, t: int) -> int:
     """{s*x*t : x in mask} as a mask."""
+    _check_mask(mask, group.order)
     out = 0
     for x in mask_bits(mask):
         out |= 1 << group.mul(group.mul(s, x), t)

@@ -6,12 +6,19 @@ is a group under composition: it contains every finitely supported
 permutation, the fixed-point-free pair swap `sigma` (2m <-> 2m+1), and
 infinite-support elements of any even modulus, while keeping every
 predicate used here (equality, support, commuting, set images) decidable.
+
+Every value is built by the one constructor, which proves it bijective
+with an exact test in O(|patch| + max|shift|), independent of how far out
+the patch lies; only a rejected input pays for a window scan that names the
+least offending point. Products read the factors' tables directly,
+conjugation g f g^-1 is built in one pass, and commutation is decided
+without building either product.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from math import lcm
-from typing import Iterable, Mapping
 
 from .epset import EPSet
 from .errors import (
@@ -21,6 +28,70 @@ from .errors import (
     NegativeImage,
     NotBijective,
 )
+
+
+def _is_bijection(modulus: int, shifts: tuple[int, ...], src: list[int],
+                  patch_map: dict[int, int], patch_inv: dict[int, int]) -> bool:
+    """Exact test that the patched rule is a bijection of the naturals.
+
+    Preconditions: the eventual rule R(x) = x + shifts[x % modulus] is a
+    bijection of the integers (residue condition; src inverts it on
+    residues), the patch D -> V has natural sources and values, and
+    patch_inv is the patch read backwards. Then f = patch on D, R off D is
+    a bijection of the naturals iff
+      - the patch is injective (|V| = |D|);
+      - no value y is also hit by R from outside D: R^-1(y) >= 0 implies
+        R^-1(y) in D;
+      - no x outside D has R(x) < 0, which needs x < max|shift|;
+      - V fills what R leaves to the patch. The second condition puts V
+        inside the disjoint union {y >= 0 : R^-1(y) < 0} + (R(D) n N), so V
+        fills it iff |D| = #{y >= 0 : R^-1(y) < 0} + |D| - #{x in D : R(x) < 0};
+        both counts only involve points below max|shift|.
+    Cost O(|patch| + max|shift|), independent of where the patch lies.
+    """
+    if len(patch_inv) != len(patch_map):
+        return False
+    for y in patch_inv:
+        x = y - shifts[src[y % modulus]]
+        if x >= 0 and x not in patch_map:
+            return False
+    big = max(abs(s) for s in shifts)
+    sunk = 0
+    for x in range(big):
+        if x + shifts[x % modulus] < 0:
+            if x not in patch_map:
+                return False
+            sunk += 1
+    return sunk == sum(1 for y in range(big) if y - shifts[src[y % modulus]] < 0)
+
+
+def _raise_least_fault(modulus: int, shifts: tuple[int, ...],
+                       patch_map: dict[int, int]) -> None:
+    """Name the least point at which a rejected patched rule fails.
+
+    Scans a window that holds every fault: the eventual rule is a bijection
+    of the integers, so any collision or negative image involves a patched
+    point and lies below n0 + big; any unhit y below the window top minus
+    big has all candidate preimages inside the window. Runs only after
+    _is_bijection has rejected, so its O(n0) cost is never paid on success.
+    """
+    n0 = 1 + max(max(patch_map), max(patch_map.values())) if patch_map else 0
+    big = max(abs(s) for s in shifts)
+    window = n0 + 2 * modulus + 2 * big
+    seen = {}
+    for x in range(window):
+        y = patch_map.get(x)
+        if y is None:
+            y = x + shifts[x % modulus]
+            if y < 0:
+                raise NegativeImage(x, y)
+        if y in seen:
+            raise NotBijective(y, f"images of {seen[y]} and {x} collide")
+        seen[y] = x
+    for y in range(window - big):
+        if y not in seen:
+            raise NotBijective(y, "no preimage")
+    raise AssertionError("bijectivity test rejected a rule the window scan accepts")
 
 
 class ResiduePerm:
@@ -56,40 +127,24 @@ class ResiduePerm:
         # Minimal patch: drop entries the eventual rule already produces.
         patch_map = {x: y for x, y in patch_map.items() if y != x + shifts[x % modulus]}
         # Minimal even modulus with the same eventual rule.
-        for d in range(2, modulus + 1, 2):
-            if modulus % d == 0 and all(shifts[r] == shifts[r % d] for r in range(modulus)):
-                modulus, shifts = d, shifts[:d]
-                break
+        if modulus > 2:
+            for d in range(2, modulus + 1, 2):
+                if modulus % d == 0 and all(shifts[r] == shifts[r % d] for r in range(modulus)):
+                    modulus, shifts = d, shifts[:d]
+                    break
 
-        n0 = 1 + max((max(patch_map), max(patch_map.values())), default=-1) if patch_map else 0
-        big = max(abs(s) for s in shifts)
-        # Window soundness: the eventual rule is a bijection of the integers
-        # (residue condition), so any collision or negative image involves a
-        # patched point and lies below n0 + big; any unhit y below the window
-        # top minus big has all candidate preimages inside the window.
-        window = n0 + 2 * modulus + 2 * big
-        seen = {}
-        for x in range(window):
-            y = patch_map.get(x)
-            if y is None:
-                y = x + shifts[x % modulus]
-                if y < 0:
-                    raise NegativeImage(x, y)
-            if y in seen:
-                raise NotBijective(y, f"images of {seen[y]} and {x} collide")
-            seen[y] = x
-        for y in range(window - big):
-            if y not in seen:
-                raise NotBijective(y, "no preimage")
+        src = [0] * modulus
+        for r in range(modulus):
+            src[(r + shifts[r]) % modulus] = r
+        patch_inv = {y: x for x, y in patch_map.items()}
+        if not _is_bijection(modulus, shifts, src, patch_map, patch_inv):
+            _raise_least_fault(modulus, shifts, patch_map)
 
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "patch", tuple(sorted(patch_map.items())))
         object.__setattr__(self, "_patch_map", patch_map)
-        object.__setattr__(self, "_patch_inv", {y: x for x, y in patch_map.items()})
-        src = [0] * modulus
-        for r in range(modulus):
-            src[(r + shifts[r]) % modulus] = r
+        object.__setattr__(self, "_patch_inv", patch_inv)
         object.__setattr__(self, "_source_residue", tuple(src))
         object.__setattr__(self, "_hash", hash((modulus, shifts, self.patch)))
 
@@ -169,18 +224,29 @@ class ResiduePerm:
         """Composition: (self * other)(x) = self(other(x))."""
         if not isinstance(other, ResiduePerm):
             return NotImplemented
-        m = lcm(self.modulus, other.modulus)
+        sm, ss, sp = self.modulus, self.shifts, self._patch_map
+        om, osh, op = other.modulus, other.shifts, other._patch_map
+        oinv, osrc = other._patch_inv, other._source_residue
+        m = lcm(sm, om)
         shifts = []
         for r in range(m):
-            d = other.shifts[r % other.modulus]
-            shifts.append(d + self.shifts[(r + d) % self.modulus])
-        candidates = set(other._patch_map)
-        candidates.update(other.apply_inverse(k) for k in self._patch_map)
+            d = osh[r % om]
+            shifts.append(d + ss[(r + d) % sm])
+        # Off these points both factors follow their eventual rules.
+        candidates = set(op)
+        for k in sp:
+            x = oinv.get(k)
+            candidates.add(k - osh[osrc[k % om]] if x is None else x)
         patch = {}
         for x in candidates:
-            y = self.apply(other.apply(x))
-            if y != x + shifts[x % m]:
-                patch[x] = y
+            y = op.get(x)
+            if y is None:
+                y = x + osh[x % om]
+            z = sp.get(y)
+            if z is None:
+                z = y + ss[y % sm]
+            if z != x + shifts[x % m]:
+                patch[x] = z
         return ResiduePerm(m, shifts, patch)
 
     def inverse(self) -> "ResiduePerm":
@@ -284,12 +350,49 @@ from_mapping = ResiduePerm.from_mapping
 
 
 def conjugate(g: ResiduePerm, f: ResiduePerm) -> ResiduePerm:
-    """g f g^-1."""
-    return g * f * g.inverse()
+    """g f g^-1, built in one pass: it sends g(x) to g(f(x)).
+
+    Its eventual rule on a residue y mod lcm is y -> g(f(g^-1(y))) under
+    the eventual rules, and g(x) can leave that rule only when x is a patch
+    point of g or f or f(x) is one of g: x in D_g + D_f + f^-1(D_g).
+    """
+    gm, gs, gp = g.modulus, g.shifts, g._patch_map
+    fm, fs, fp = f.modulus, f.shifts, f._patch_map
+    gsrc = g._source_residue
+    m = lcm(gm, fm)
+    shifts = []
+    for r in range(m):
+        a = r - gs[gsrc[r % gm]]
+        b = a + fs[a % fm]
+        shifts.append(b + gs[b % gm] - r)
+    candidates = set(gp)
+    candidates.update(fp)
+    candidates.update(f.apply_inverse(k) for k in gp)
+    patch = {}
+    for x in candidates:
+        y, w = g.apply(x), g.apply(f.apply(x))
+        if w != y + shifts[y % m]:
+            patch[y] = w
+    return ResiduePerm(m, shifts, patch)
 
 
 def commutes(f: ResiduePerm, g: ResiduePerm) -> bool:
-    return f * g == g * f
+    """f g == g f, decided without building either product.
+
+    The eventual rules of fg and gf must agree on every residue mod lcm;
+    off D_f + D_g + g^-1(D_f) + f^-1(D_g) both sides follow them.
+    """
+    fm, fs, fp = f.modulus, f.shifts, f._patch_map
+    gm, gs, gp = g.modulus, g.shifts, g._patch_map
+    for r in range(lcm(fm, gm)):
+        d, e = gs[r % gm], fs[r % fm]
+        if d + fs[(r + d) % fm] != e + gs[(r + e) % gm]:
+            return False
+    candidates = set(fp)
+    candidates.update(gp)
+    candidates.update(g.apply_inverse(k) for k in fp)
+    candidates.update(f.apply_inverse(k) for k in gp)
+    return all(f.apply(g.apply(x)) == g.apply(f.apply(x)) for x in candidates)
 
 
 def support(f: ResiduePerm) -> EPSet:

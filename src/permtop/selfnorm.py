@@ -83,6 +83,8 @@ class FreeWord:
 
     def shifted(self, n: int) -> "FreeWord":
         """Image under the shift automorphism z_k -> z_{k+n}."""
+        if n == 0:
+            return self
         return _word(tuple((g + n, e) for g, e in self.syllables))
 
     def letters(self) -> set[int]:
@@ -131,11 +133,11 @@ class SDElement:
     def __mul__(self, other: "SDElement") -> "SDElement":
         if not isinstance(other, SDElement):
             return NotImplemented
-        return SDElement(self.word * other.word.shifted(self.shift),
-                         self.shift + other.shift)
+        return _sd(self.word * other.word.shifted(self.shift),
+                   self.shift + other.shift)
 
     def inverse(self) -> "SDElement":
-        return SDElement(self.word.inverse().shifted(-self.shift), -self.shift)
+        return _sd(self.word.inverse().shifted(-self.shift), -self.shift)
 
     def is_identity(self) -> bool:
         return self.shift == 0 and self.word.is_identity()
@@ -145,6 +147,14 @@ class SDElement:
 
     def __repr__(self) -> str:
         return self.to_literal()
+
+
+def _sd(word: FreeWord, shift: int) -> SDElement:
+    # Internal constructor, as _word: skips the dataclass __init__ call.
+    e = object.__new__(SDElement)
+    object.__setattr__(e, "word", word)
+    object.__setattr__(e, "shift", shift)
+    return e
 
 
 SD_ONE = SDElement(ONE, 0)

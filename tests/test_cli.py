@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,3 +174,12 @@ def test_verify_suite(capsys):
     assert code == 0
     assert "criterion 09" in out or "criterion 9" in out
     assert "overall: PASS" in out
+
+
+def test_module_runs_from_source_tree():
+    src = Path(permtop.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-m", "permtop", "--help"],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: permtop")

@@ -290,6 +290,18 @@ def test_translate_set():
     assert translate_set(g, 0, 0b101, 0) == 0b101
 
 
+@pytest.mark.parametrize("mask", [-1, -6, 1 << 6, (1 << 6) | 1])
+def test_translate_set_rejects_masks_outside_the_group(mask):
+    with pytest.raises(SpecMismatch):
+        translate_set(FiniteGroup.symmetric(3), 0, mask, 0)
+
+
+@pytest.mark.parametrize("mask", [-1, -2, 0b100, 0b111])
+def test_set_is_open_rejects_masks_outside_the_carrier(mask):
+    with pytest.raises(SpecMismatch):
+        set_is_open(MinNbhdMap(2, (1, 2)), mask)
+
+
 def test_mask_bits():
     assert mask_bits(0) == []
     assert mask_bits(0b1011) == [0, 1, 3]

@@ -18,7 +18,7 @@ from permtop.errors import (
 )
 from permtop.literals import parse_perm
 from permtop.perm import identity, sigma, transposition
-from permtop.sampling import random_perm_mixed, random_residue_perm
+from permtop.sampling import random_perm_mixed, random_residue_perm, random_sigma_type
 
 from conftest import assert_pointwise_equal, brute_moved
 
@@ -290,3 +290,192 @@ def test_support_properties():
     assert sup == EPSet.residue_class(4, 0) | EPSet.residue_class(4, 2)
     assert s.has_finite_support() is False
     assert transposition(1, 2).has_finite_support() is True
+
+
+# -- constructor against the window scan it replaced --------------------------
+
+def reference_construct(modulus, shifts, patch):
+    """The constructor as a full window scan: O(max patch point + modulus +
+    max shift), the least offending point named by the scan. Returns the
+    canonical (modulus, shifts, patch) or raises."""
+    shifts = tuple(shifts)
+    if modulus < 1:
+        raise ValueError(f"modulus must be positive, got {modulus}")
+    if len(shifts) != modulus:
+        raise ValueError(f"need {modulus} shifts, got {len(shifts)}")
+    if modulus % 2:
+        modulus, shifts = 2 * modulus, shifts * 2
+    if {(r + shifts[r]) % modulus for r in range(modulus)} != set(range(modulus)):
+        raise BadResidueShift(modulus)
+    patch_map = dict(patch)
+    for x, y in patch_map.items():
+        if x < 0:
+            raise ValueError(f"patch source {x} is not a natural")
+        if y < 0:
+            raise NegativeImage(x, y)
+    patch_map = {x: y for x, y in patch_map.items() if y != x + shifts[x % modulus]}
+    for d in range(2, modulus + 1, 2):
+        if modulus % d == 0 and all(shifts[r] == shifts[r % d] for r in range(modulus)):
+            modulus, shifts = d, shifts[:d]
+            break
+    n0 = 1 + max((max(patch_map), max(patch_map.values())), default=-1) if patch_map else 0
+    big = max(abs(s) for s in shifts)
+    window = n0 + 2 * modulus + 2 * big
+    seen = {}
+    for x in range(window):
+        y = patch_map.get(x)
+        if y is None:
+            y = x + shifts[x % modulus]
+            if y < 0:
+                raise NegativeImage(x, y)
+        if y in seen:
+            raise NotBijective(y, f"images of {seen[y]} and {x} collide")
+        seen[y] = x
+    for y in range(window - big):
+        if y not in seen:
+            raise NotBijective(y, "no preimage")
+    return modulus, shifts, tuple(sorted(patch_map.items()))
+
+
+def _rule(modulus, shifts):
+    m = len(shifts)
+    src = {(r + shifts[r]) % m: r for r in range(m)}
+    return (lambda x: x + shifts[x % m]), (lambda y: y - shifts[src[y % m]])
+
+
+def random_raw_input(rng):
+    """(modulus, shifts, patch items) for the constructor: about half valid.
+
+    The eventual rule is a residue permutation with random whole-period
+    jumps, so it may send points below zero or miss some; a valid patch
+    (when the counts allow one) sends those points onto the missed ones,
+    composed with a random finite rearrangement. Invalid inputs then come
+    from perturbing it: a value changed, an entry dropped or added, a value
+    made negative, a patch pushed far out, or a broken residue rule.
+    """
+    m = rng.choice((1, 2, 2, 3, 4, 6))
+    rho = list(range(m))
+    rng.shuffle(rho)
+    jumps = [rng.choice((0, 0, 1, -1, 2, -2)) for _ in range(m)]
+    if rng.random() < 0.8:
+        jumps[-1] -= sum(jumps)  # zero net flow: some patch can repair it
+    shifts = [rho[r] - r + m * jumps[r] for r in range(m)]
+    if rng.random() < 0.05:
+        shifts = [rng.randint(-3, 3) for _ in range(m)]
+    rule = shifts * 2 if m % 2 else shifts
+    patch = {}
+    if {(r + rule[r]) % len(rule) for r in range(len(rule))} == set(range(len(rule))):
+        fwd, back = _rule(len(rule), rule)
+        big = max(abs(s) for s in rule)
+        sunk = [x for x in range(big) if fwd(x) < 0]
+        missed = [y for y in range(big) if back(y) < 0]
+        if len(sunk) == len(missed):
+            rng.shuffle(missed)
+            patch = dict(zip(sunk, missed))
+        span = rng.choice((4, 12, 40))
+        pts = rng.sample(range(span), rng.randint(0, min(6, span)))
+        if rng.random() < 0.1:
+            pts = [p + rng.choice((100, 5000)) for p in pts]
+        moved = pts[:]
+        rng.shuffle(moved)
+        f = {x: patch[x] if x in patch else fwd(x) for x in set(pts) | set(patch)}
+        patch = {x: f[moved[pts.index(x)]] if x in pts else f[x] for x in f}
+    items = list(patch.items())
+    roll = rng.random()
+    if items and roll < 0.15:
+        i = rng.randrange(len(items))
+        items[i] = (items[i][0], rng.randrange(2 * max(abs(v) for _, v in items) + 3))
+    elif items and roll < 0.25:
+        del items[rng.randrange(len(items))]
+    elif roll < 0.35:
+        items.append((rng.randrange(30), rng.randrange(30)))
+    elif roll < 0.38:
+        items.append((rng.randrange(30), -rng.randint(1, 3)))
+    elif roll < 0.40:
+        items.append((-1, 0))
+    elif items and roll < 0.45:
+        far = rng.choice((1, 1000))
+        items = [(x + far, y + far) for x, y in items]
+    rng.shuffle(items)
+    return m, shifts, items
+
+
+def _outcome(build, modulus, shifts, items):
+    try:
+        return build(modulus, shifts, items)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def _fields(modulus, shifts, items):
+    f = ResiduePerm(modulus, shifts, items)
+    return f.modulus, f.shifts, f.patch
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_constructor_matches_window_scan(seed):
+    rng = __import__("random").Random(seed)
+    accepted = rejected = 0
+    for _ in range(2500):
+        raw = random_raw_input(rng)
+        want = _outcome(reference_construct, *raw)
+        assert _outcome(_fields, *raw) == want, raw
+        if isinstance(want[0], int):
+            accepted += 1
+        else:
+            rejected += 1
+    assert accepted > 500 and rejected > 500, (accepted, rejected)
+
+
+# -- direct conjugation and commutation against the group products -------------
+
+def _partner(rng, f):
+    roll = rng.randrange(10)
+    if roll == 0:
+        return f
+    if roll == 1:
+        return f * f
+    if roll == 2:
+        return f.inverse()
+    if roll == 3:
+        return identity()
+    if roll == 4:
+        return sigma()
+    if roll == 5:
+        return random_sigma_type(rng)
+    if roll == 6:
+        return random_residue_perm(rng, infinite=True)
+    if roll == 7:
+        return transposition(*rng.sample(range(40, 60), 2))
+    return random_perm_mixed(rng)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_direct_operations_match_products(seed):
+    rng = __import__("random").Random(seed)
+    outcomes = set()
+    for _ in range(400):
+        f = random_perm_mixed(rng)
+        g = _partner(rng, f)
+        for a, b in ((g, f), (f, g)):
+            h = conjugate(a, b)
+            assert h == a * b * a.inverse(), (a, b)
+            for x in range(60):
+                assert h.apply(a.apply(x)) == a.apply(b.apply(x))
+        both = commutes(f, g)
+        assert both == (f * g == g * f) == commutes(g, f), (f, g)
+        outcomes.add(both)
+    assert outcomes == {True, False}
+
+
+def test_far_points_cost_nothing():
+    from time import perf_counter
+    start = perf_counter()
+    t = transposition(0, 10**7)
+    u = transposition(0, 10**7 + 1)
+    assert (t * u).apply(10**7) == 0
+    assert t.inverse() == t
+    assert conjugate(u, t) == transposition(10**7, 10**7 + 1)
+    assert not commutes(t, transposition(0, 1))
+    assert commutes(t, sigma() * sigma())
+    assert perf_counter() - start < 1.0
