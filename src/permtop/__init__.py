@@ -27,9 +27,9 @@ from .selfnorm import (FreeWord, Inconclusive, InSubgroup, MovesOut, SDElement,
                        ThinSet, certify_self_normalizing, in_free_factor,
                        sd_conj, thin_check, word_element)
 from .oracle import (Comparison, ContinuityReport, FiniteGroup, MinNbhdMap,
-                     SubbaseSpec, TopologyProps, build_group, classify_continuity,
-                     compare, generate_subbase, min_neighborhoods, set_is_open,
-                     topology_props, translate_set)
+                     Subbase, SubbaseSpec, TopologyProps, build_group,
+                     classify_continuity, compare, generate_subbase,
+                     min_neighborhoods, set_is_open, topology_props, translate_set)
 from .tbeta import (Partition, alpha_basic_equivalence, disjoint_mover_set,
                     infinite_support_stabilizer, nbhd_member, stabilizes,
                     validate_partition)

@@ -172,8 +172,8 @@ class EPSet:
                           r % other.modulus in other.residues)]
         added, removed = [], []
         # Deviations from the periodic rule can only occur where one of the
-        # inputs deviates, hence below both thresholds.
-        for x in range(max(self.threshold, other.threshold)):
+        # inputs deviates, hence at one of their corrections.
+        for x in self.added | self.removed | other.added | other.removed:
             actual = op(x in self, x in other)
             if actual and x % m not in residues:
                 added.append(x)

@@ -11,8 +11,11 @@ x -> x b x^-1, which are the left cosets of the centralizer C(b): one pass
 over the group per b, O(n^2) in all (see `generate_subbase` for why the
 `zp` sets are unions of such fibers).
 
-Continuity is read off U = min(e): the translations are continuous iff
-min(g) = gU = Ug, and then the group is topological (`ContinuityReport`).
+Every family `generate_subbase` builds is closed under left translation,
+so min(g) = gU with U = min(e): one pass over the family finds U
+(`min_neighborhoods`). Continuity is read off U too: the translations are
+continuous iff min(g) = gU = Ug, and then the group is topological
+(`ContinuityReport`).
 """
 
 from __future__ import annotations
@@ -221,7 +224,20 @@ def _word_work(n: int, max_word_len: int) -> int:
     return n * sum(2 * (2 * n) ** (m - 1) for m in range(1, max_word_len + 1))
 
 
-def generate_subbase(group: FiniteGroup, spec: SubbaseSpec) -> tuple[int, ...]:
+class Subbase(tuple):
+    """Sorted sub-base masks that `generate_subbase` built for `group`.
+
+    Only `generate_subbase` builds one, so holding a Subbase certifies the
+    family is closed under left translation by `group`; it compares equal
+    to the plain tuple of its masks."""
+
+    group: FiniteGroup
+
+    def __new__(cls, *args):
+        raise TypeError("only generate_subbase builds a Subbase")
+
+
+def generate_subbase(group: FiniteGroup, spec: SubbaseSpec) -> Subbase:
     """The full deduplicated sub-base family as sorted bitmasks.
 
     `cent`, `zpp` and `zp` are read off the conjugation fibers of each b,
@@ -230,6 +246,16 @@ def generate_subbase(group: FiniteGroup, spec: SubbaseSpec) -> tuple[int, ...]:
     set {x : (x c x^-1) b (x c x^-1)^-1 != b} of involutions b, c is the
     union of the fibers of c whose conjugate d does not commute with b,
     since d b d^-1 = b iff d b = b d.
+
+    Every family is closed under left translation by s:
+      - `tp`: s {x : x(i) = j} = {y : y(i) = s(j)};
+      - `cent` and `zpp`: s a C(b) is the coset (sa) C(b), and s maps
+        complements to complements;
+      - `zp`: the set of (b, c) goes to that of (s b s^-1, c), as s d s^-1
+        commutes with s b s^-1 iff d commutes with b;
+      - `zariski`: w(s^-1 y) is a word in y with as many variable
+        occurrences (s joins the adjacent constant; a leading s^-1 moves to
+        the end, as s^-1 v != e iff v s^-1 != e), and constants range over G.
     """
     n = group.order
     if spec.kind != "tp" and not group.has_table:
@@ -273,7 +299,9 @@ def generate_subbase(group: FiniteGroup, spec: SubbaseSpec) -> tuple[int, ...]:
                            f"{FiniteGroup.WORD_WORK_LIMIT}")
         masks.update(kernels.word_inequality_masks(
             group._flat, n, spec.max_word_len))
-    return tuple(sorted(masks))
+    family = tuple.__new__(Subbase, sorted(masks))
+    family.group = group
+    return family
 
 
 @dataclass(frozen=True)
@@ -292,18 +320,21 @@ class MinNbhdMap:
                 raise SpecMismatch(f"min({g}) = {m:#b} is not an open set around {g}")
 
 
-def min_neighborhoods(group: FiniteGroup, family) -> MinNbhdMap:
+def min_neighborhoods(group: FiniteGroup, family: Subbase) -> MinNbhdMap:
+    """min(g) = g U, where U = min(e) is the intersection of the sets that
+    hold the identity: the family is closed under left translation, so the
+    sets holding g are the g T with e in T. One pass over the family and
+    2 n |U| products. Refuses any family `generate_subbase` did not build
+    for this group, since the translation is only valid there."""
+    if not isinstance(family, Subbase) or family.group is not group:
+        raise SpecMismatch("minimal neighborhoods need a family that "
+                           "generate_subbase built for this group")
     n = group.order
-    full = (1 << n) - 1
-    out = []
-    for g in range(n):
-        acc = full
-        probe = 1 << g
-        for s in family:
-            if s & probe:
-                acc &= s
-        out.append(acc)
-    return MinNbhdMap(n, tuple(out))
+    u = (1 << n) - 1
+    for s in family:
+        if s & 1:
+            u &= s
+    return MinNbhdMap(n, tuple(translate_set(group, g, u, 0) for g in range(n)))
 
 
 def _check_mask(mask: int, order: int) -> None:

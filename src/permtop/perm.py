@@ -402,17 +402,20 @@ def support(f: ResiduePerm) -> EPSet:
 def image(f: ResiduePerm, s: EPSet) -> EPSet:
     """Exact image {f(x) : x in s} as an EPSet.
 
-    The eventual rule permutes residue classes mod lcm(moduli) by
-    translation, so the image is again eventually periodic; deviations
-    come only from patched points and from corrections of s, all of which
-    land below max(thresholds) + max|shift| + 1.
+    The eventual rule R permutes residue classes mod lcm(moduli) by
+    translation, so the image is again eventually periodic: y % m is an
+    image residue iff R^-1(y) is in the periodic rule of s. Off the patch
+    values f^-1(y) = R^-1(y), so y leaves that rule only if it is a patch
+    value or f^-1(y) is a correction of s: O(|patch| + |corrections|)
+    points, wherever they lie.
     """
     m = lcm(f.modulus, s.modulus)
     residues = {(r + f.shifts[r % f.modulus]) % m
                 for r in range(m) if r % s.modulus in s.residues}
-    window = max(s.threshold, f.patch_threshold) + f.max_shift + 1
+    candidates = set(f._patch_inv)
+    candidates.update(f.apply(x) for x in s.added | s.removed)
     added, removed = [], []
-    for y in range(window):
+    for y in candidates:
         actual = f.apply_inverse(y) in s
         periodic = y % m in residues
         if actual and not periodic:

@@ -127,6 +127,37 @@ def test_oracle_command(capsys):
     assert "zariski" in err
 
 
+SN4_ORACLE_REPORT = """\
+command: oracle
+param group = sn:4
+param max_word_len = 2
+param subbases = tp,zpp,zp,zariski,cent
+check tp generated: PASS  (16 basic sets, discrete=True, t1=True)
+check zpp generated: PASS  (28 basic sets, discrete=True, t1=True)
+check zp generated: PASS  (28 basic sets, discrete=True, t1=True)
+check zariski generated: PASS  (163 basic sets, discrete=True, t1=True)
+check cent generated: PASS  (78 basic sets, discrete=True, t1=True)
+check tp vs zpp: PASS  (equal)
+check tp vs zp: PASS  (equal)
+check tp vs zariski: PASS  (equal)
+check tp vs cent: PASS  (equal)
+check zpp vs zp: PASS  (equal)
+check zpp vs zariski: PASS  (equal)
+check zpp vs cent: PASS  (equal)
+check zp vs zariski: PASS  (equal)
+check zp vs cent: PASS  (equal)
+check zariski vs cent: PASS  (equal)
+overall: PASS
+"""
+
+
+def test_oracle_report_on_s4_is_pinned(capsys):
+    # every family's set count and every pairwise verdict on S4
+    code, out, _ = run(capsys, "oracle", "--group", "sn:4")
+    assert code == 0
+    assert out == SN4_ORACLE_REPORT
+
+
 def test_witness_closed_ball(capsys):
     code, out, _ = run(capsys, "witness", "closed-ball", "--g", "(0 1 2)",
                        "--n", "2")

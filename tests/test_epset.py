@@ -58,6 +58,19 @@ def test_boolean_algebra_pointwise(rng):
             assert (x in comp) == (x not in a)
 
 
+def test_far_corrections_cost_nothing():
+    from time import perf_counter
+    start = perf_counter()
+    far = 10**7 + 1
+    assert EPSet.finite([far]) | EPSet.evens() == EPSet(2, (0,), added=[far])
+    assert EPSet.evens() | EPSet.finite([far - 1]) == EPSet.evens()
+    assert EPSet.cofinite([far]) & EPSet.odds() == EPSet(2, (1,), removed=[far])
+    assert EPSet.odds() - EPSet.finite([far, 4]) == EPSet(2, (1,), removed=[far])
+    assert EPSet.finite([far]).issubset(EPSet.odds())
+    assert EPSet.finite([far]).isdisjoint(EPSet.evens())
+    assert perf_counter() - start < 1.0
+
+
 def test_algebra_laws(rng):
     assert (EPSet.evens() & EPSet.odds()).is_empty()
     assert (EPSet.evens() | EPSet.odds()) == EPSet.naturals()

@@ -10,6 +10,7 @@ from permtop.oracle import (
     ContinuityReport,
     FiniteGroup,
     MinNbhdMap,
+    Subbase,
     SubbaseSpec,
     build_group,
     classify_continuity,
@@ -21,6 +22,8 @@ from permtop.oracle import (
     topology_props,
     translate_set,
 )
+
+KINDS = ("tp", "zpp", "zp", "zariski", "cent")
 
 Z4_TEXT = "4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2"
 
@@ -36,6 +39,15 @@ LOOP5_TEXT = """5
 def cyclic_table_text(n):
     return f"{n}\n" + "\n".join(" ".join(str((i + j) % n) for j in range(n))
                                  for i in range(n))
+
+
+def small_group(source):
+    """`sn:k`, or a Cayley table: z4, z6, z12 (cyclic), d8, d12 (dihedral)."""
+    texts = {"z4": Z4_TEXT, "z6": cyclic_table_text(6), "z12": cyclic_table_text(12),
+             "d8": dihedral_table_text(4), "d12": dihedral_table_text(6)}
+    if source in texts:
+        return FiniteGroup.from_table_text(texts[source])
+    return build_group(source)
 
 
 @pytest.fixture(scope="module")
@@ -223,12 +235,7 @@ def reference_conj_family(group, kind):
                                     "z4", "z6", "d8"])
 @pytest.mark.parametrize("kind", ["cent", "zpp", "zp"])
 def test_conjugation_families_match_reference(source, kind):
-    texts = {"z4": Z4_TEXT, "z6": cyclic_table_text(6),
-             "d8": dihedral_table_text(4)}
-    if source in texts:
-        group = FiniteGroup.from_table_text(texts[source])
-    else:
-        group = build_group(source)
+    group = small_group(source)
     assert generate_subbase(group, SubbaseSpec(kind)) == \
         reference_conj_family(group, kind)
 
@@ -259,6 +266,87 @@ def test_zariski_matches_point_fibers_on_s4():
     tp = min_neighborhoods(g, generate_subbase(g, SubbaseSpec("tp")))
     za = min_neighborhoods(g, generate_subbase(g, SubbaseSpec("zariski", max_word_len=2)))
     assert compare(tp, za).verdict == "equal"
+
+
+def reference_min_neighborhoods(group, family):
+    """The n |family| probe: min(g) is the intersection of the sets that
+    hold g, for any family at all."""
+    n = group.order
+    full = (1 << n) - 1
+    out = []
+    for g in range(n):
+        acc = full
+        probe = 1 << g
+        for s in family:
+            if s & probe:
+                acc &= s
+        out.append(acc)
+    return MinNbhdMap(n, tuple(out))
+
+
+def _families(group, max_word_len=4):
+    """(spec, family) for every kind, `tp` only on permutation groups and
+    `zariski` at each length up to `max_word_len` that the word-work limit
+    admits."""
+    kinds = (["tp"] if group.has_realization else []) + ["zpp", "zp", "cent"]
+    specs = [SubbaseSpec(k) for k in kinds]
+    specs += [SubbaseSpec("zariski", length) for length in range(1, max_word_len + 1)]
+    for spec in specs:
+        try:
+            yield spec, generate_subbase(group, spec)
+        except TooLarge:
+            assert spec.kind == "zariski" and spec.max_word_len > 2
+
+
+@pytest.mark.parametrize("source", ["sn:1", "sn:2", "sn:3", "sn:4", "sn:5",
+                                    "z4", "z6", "z12", "d8", "d12"])
+def test_min_neighborhoods_match_reference(source):
+    group = small_group(source)
+    for spec, family in _families(group):
+        assert min_neighborhoods(group, family) == \
+            reference_min_neighborhoods(group, family), spec
+
+
+def test_min_neighborhoods_on_s6(s6, monkeypatch):
+    # one pass over the family and at most 2 n |U| products; the reference
+    # probe is skipped on cent (27,710 sets) and zariski (66,051 sets),
+    # where it takes seconds
+    passes = [0]
+
+    def counted_iter(self, it=tuple.__iter__):
+        passes[0] += 1
+        return it(self)
+
+    maps = {}
+    for kind in KINDS:
+        family = generate_subbase(s6, SubbaseSpec(kind, 2))
+        passes[0] = 0
+        monkeypatch.setattr(Subbase, "__iter__", counted_iter)
+        calls = _count_products(monkeypatch)
+        nbhd = maps[kind] = min_neighborhoods(s6, family)
+        assert calls[0] <= 2 * s6.order * bin(nbhd.masks[0]).count("1"), kind
+        assert passes[0] == 1, kind
+        monkeypatch.undo()
+        if kind not in ("cent", "zariski"):
+            assert nbhd == reference_min_neighborhoods(s6, family), kind
+        assert topology_props(nbhd).discrete, kind
+    for a in KINDS:
+        for b in KINDS:
+            assert compare(maps[a], maps[b]).verdict == "equal", (a, b)
+
+
+def test_min_neighborhoods_refuses_foreign_families():
+    g = FiniteGroup.symmetric(3)
+    family = generate_subbase(g, SubbaseSpec("tp"))
+    assert family == tuple(family)
+    for foreign in (tuple(family), list(family), set(family)):
+        with pytest.raises(SpecMismatch):
+            min_neighborhoods(g, foreign)
+    # built for another group of the same order
+    with pytest.raises(SpecMismatch):
+        min_neighborhoods(FiniteGroup.symmetric(3), family)
+    with pytest.raises(TypeError):
+        Subbase(family)
 
 
 def test_min_neighborhoods_are_open():
@@ -464,21 +552,16 @@ def _differential_maps(group, rng):
     for _ in range(100 if n <= 8 else 50 if n <= 24 else 0):
         h = rng.choice(subgroups)
         seeds = [random_set(h) for _ in range(rng.randint(1, 3))]
-        maps.append(min_neighborhoods(group, seeds))
-        maps.append(min_neighborhoods(group, {translate_set(group, g, s, 0)
-                                              for s in seeds for g in range(n)}))
+        maps.append(reference_min_neighborhoods(group, seeds))
+        maps.append(reference_min_neighborhoods(
+            group, {translate_set(group, g, s, 0) for s in seeds for g in range(n)}))
     return maps
 
 
 @pytest.mark.parametrize("source", ["sn:1", "sn:2", "sn:3", "sn:4", "sn:5",
                                     "z4", "z6", "z12", "d8", "d12"])
 def test_classify_continuity_matches_reference(source):
-    texts = {"z4": Z4_TEXT, "z6": cyclic_table_text(6), "z12": cyclic_table_text(12),
-             "d8": dihedral_table_text(4), "d12": dihedral_table_text(6)}
-    if source in texts:
-        group = FiniteGroup.from_table_text(texts[source])
-    else:
-        group = build_group(source)
+    group = small_group(source)
     maps = _differential_maps(group, random.Random(source))
     if source == "z4":
         maps += [MinNbhdMap(4, (0b0101, 0b0010, 0b0100, 0b1000)),

@@ -1,3 +1,5 @@
+from math import lcm
+
 import pytest
 
 from permtop import (
@@ -18,7 +20,8 @@ from permtop.errors import (
 )
 from permtop.literals import parse_perm
 from permtop.perm import identity, sigma, transposition
-from permtop.sampling import random_perm_mixed, random_residue_perm, random_sigma_type
+from permtop.sampling import (random_epset, random_perm_mixed, random_residue_perm,
+                              random_sigma_type)
 
 from conftest import assert_pointwise_equal, brute_moved
 
@@ -468,6 +471,58 @@ def test_direct_operations_match_products(seed):
     assert outcomes == {True, False}
 
 
+# -- set images against the window scan they replaced ---------------------------
+
+def reference_image(f, s):
+    """The image as a window scan over every y below max(thresholds) plus
+    max|shift| + 1: O(largest patch or correction point)."""
+    m = lcm(f.modulus, s.modulus)
+    residues = {(r + f.shifts[r % f.modulus]) % m
+                for r in range(m) if r % s.modulus in s.residues}
+    window = max(s.threshold, f.patch_threshold) + f.max_shift + 1
+    added, removed = [], []
+    for y in range(window):
+        actual = f.apply_inverse(y) in s
+        periodic = y % m in residues
+        if actual and not periodic:
+            added.append(y)
+        elif periodic and not actual:
+            removed.append(y)
+    return EPSet(m, residues, added=added, removed=removed)
+
+
+def _image_pair(rng):
+    """(f, s): mixed, infinite-rule and sigma-type f, some moved by a far
+    transposition; random s, some with far corrections."""
+    roll = rng.randrange(4)
+    if roll == 0:
+        f = random_residue_perm(rng, infinite=True)
+    elif roll == 1:
+        f = random_sigma_type(rng)
+    else:
+        f = random_perm_mixed(rng)
+    if rng.random() < 0.3:
+        a = rng.randrange(40)
+        f = f * transposition(a, a + rng.choice((1, 100, 1000)))
+    s = random_epset(rng)
+    roll = rng.random()
+    if roll < 0.2:
+        s = s | EPSet.finite([rng.randrange(500, 1500)])
+    elif roll < 0.4:
+        s = s - EPSet.finite([rng.randrange(500, 1500)])
+    elif roll < 0.5:
+        s = EPSet.finite(rng.sample(range(60), rng.randint(0, 4)))
+    return f, s
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_image_matches_window_scan(seed):
+    rng = __import__("random").Random(seed)
+    for _ in range(1000):
+        f, s = _image_pair(rng)
+        assert image(f, s) == reference_image(f, s), (f, s)
+
+
 def test_far_points_cost_nothing():
     from time import perf_counter
     start = perf_counter()
@@ -478,4 +533,5 @@ def test_far_points_cost_nothing():
     assert conjugate(u, t) == transposition(10**7, 10**7 + 1)
     assert not commutes(t, transposition(0, 1))
     assert commutes(t, sigma() * sigma())
+    assert image(t, EPSet.finite([0])) == EPSet.finite([10**7])
     assert perf_counter() - start < 1.0
