@@ -141,17 +141,16 @@ class EPSet:
             x += 1
 
     def least_member(self) -> int | None:
-        # A nonempty set has a member below threshold + modulus.
-        for x in range(self.threshold + self.modulus):
-            if x in self:
-                return x
-        return None
+        # Members are the added points and, per residue, its class minus
+        # the removed points: O(|corrections| + modulus).
+        return _least(self.added, self.residues, self.modulus, self.removed)
 
     def least_outside(self) -> int:
-        for x in range(self.threshold + self.modulus + 1):
-            if x not in self:
-                return x
-        raise ValueError("set covers all naturals")
+        x = _least(self.removed, frozenset(range(self.modulus)) - self.residues,
+                   self.modulus, self.added)
+        if x is None:
+            raise ValueError("set covers all naturals")
+        return x
 
     # -- boolean algebra ---------------------------------------------------
 
@@ -217,3 +216,15 @@ class EPSet:
 
     def __repr__(self) -> str:
         return f"EPSet({self.to_literal()})"
+
+
+def _least(points: Iterable[int], residues: Iterable[int], modulus: int,
+           holes: frozenset[int]) -> int | None:
+    """Least of `points` and of each residue class mod `modulus` minus `holes`."""
+    best = min(points, default=None)
+    for x in residues:
+        while x in holes:
+            x += modulus
+        if best is None or x < best:
+            best = x
+    return best

@@ -6,7 +6,7 @@ identity at index 0.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def word_inequality_masks(mul: Sequence[int], n: int, max_vars: int) -> list[int]:
@@ -22,7 +22,13 @@ def word_inequality_masks(mul: Sequence[int], n: int, max_vars: int) -> list[int
     vector of its values: w(x) != 1 iff P(x) != c_(m-1)^-1, and c_(m-1)^-1
     ranges over the whole group, so the masks of all words sharing P are
     the complements of P's fibers, empty fibers giving the full mask.
+    Prefixes are walked level by level in the number of variable
+    occurrences; a level that will be extended is kept as a set of
+    distinct vectors, so equal prefixes are extended once, and the last
+    level is evaluated as it is generated, without being stored.
     """
+    if max_vars < 1:
+        return []
     inv = [0] * n
     for x in range(n):
         for y in range(n):
@@ -31,24 +37,31 @@ def word_inequality_masks(mul: Sequence[int], n: int, max_vars: int) -> list[int
                 break
     full = (1 << n) - 1
     bit = [1 << x for x in range(n)]
-    powers = (list(range(n)), inv)  # x -> x and x -> x^-1
+    powers = (tuple(range(n)), tuple(inv))  # x -> x and x -> x^-1
     masks: set[int] = set()
 
-    def visit(prefix: list[int], depth: int) -> None:
+    def record(prefix: Sequence[int]) -> None:
         fibers: dict[int, int] = {}
         for x, y in enumerate(prefix):
             fibers[y] = fibers.get(y, 0) | bit[x]
         masks.update(full ^ f for f in fibers.values())
         if len(fibers) < n:
             masks.add(full)
-        if depth == max_vars:
-            return
-        for c in range(n):
-            rows = [mul[y * n + c] * n for y in prefix]
-            for power in powers:
-                visit([mul[r + v] for r, v in zip(rows, power)], depth + 1)
 
-    if max_vars >= 1:
-        for power in powers:
-            visit(power, 1)
+    def children(level: Iterable[Sequence[int]]) -> Iterator[list[int]]:
+        for prefix in level:
+            for c in range(n):
+                rows = [mul[y * n + c] * n for y in prefix]
+                for power in powers:
+                    yield [mul[r + v] for r, v in zip(rows, power)]
+
+    level: Iterable[Sequence[int]] = set(powers)
+    for depth in range(1, max_vars):
+        for prefix in level:
+            record(prefix)
+        level = children(level)
+        if depth + 1 < max_vars:
+            level = set(map(tuple, level))
+    for prefix in level:
+        record(prefix)
     return sorted(masks)

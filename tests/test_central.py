@@ -5,6 +5,9 @@ import pytest
 
 from permtop import ResiduePerm, commutes
 from permtop.central import (
+    _centralizer,
+    _centralizer_order,
+    _commute,
     centralizer_equals_stabilizer,
     centralizer_not_open_witness,
     double_centralizer_window,
@@ -17,7 +20,7 @@ from permtop.errors import (
     InfiniteSupport,
     WindowTooSmall,
 )
-from permtop.perm import identity, sigma, transposition
+from permtop.perm import from_cycles, from_mapping, identity, sigma, transposition
 from permtop.sampling import random_finite_perm
 
 
@@ -74,6 +77,17 @@ def test_double_centralizer_full_group():
     gens = [transposition(i, i + 1) for i in range(5)]
     got = double_centralizer_window(gens, range(6))
     assert len(got) == 720
+
+
+def test_double_centralizer_small_rest():
+    # with |R| = 2 the rest of the window is not pointwise fixed: for (0 1)
+    # on {0..3}, c(F) = S{0,1} x S{2,3} is abelian and self-centralizing
+    t01, t23 = transposition(0, 1), transposition(2, 3)
+    got = double_centralizer_window([t01], range(4))
+    assert set(got) == {identity(), t01, t23, t01 * t23}
+    assert got == reference_double_centralizer([t01], range(4))
+    # on {0..4}, |R| = 3 and the answer shrinks to <(0 1)>
+    assert double_centralizer_window([t01], range(5)) == [identity(), t01]
 
 
 def test_double_centralizer_is_a_subgroup():
@@ -158,3 +172,79 @@ def test_double_centralizer_matches_window_scan(n):
         got = double_centralizer_window(perms, range(n))
         assert [tuple(p.apply(x) for x in range(n)) for p in got] == \
             window_scan_double_centralizer(perms, n), perms
+
+
+def reference_double_centralizer(perms, window):
+    """Reference: the cycle-type implementation that built all of c(F).
+
+    Each centralizer is enumerated from the cycle type of its member with
+    the smallest centralizer, then filtered by commuting with the rest:
+    c(F) from the non-identity members of F, c(c(F)) from every row of
+    c(F). With no non-identity member c(F) is represented by its
+    generators (0 1) and the n-cycle.
+    """
+    win = sorted(set(window))
+    n = len(win)
+    pos = {p: i for i, p in enumerate(win)}
+    rows_f = [tuple(pos[f.apply(p)] for p in win) for f in perms]
+
+    def centralizer_of(rows):
+        h = min(rows, key=_centralizer_order)
+        return [g for g in _centralizer(h) if all(_commute(g, r) for r in rows)]
+
+    ident = tuple(range(n))
+    moving = [r for r in rows_f if r != ident]
+    if moving:
+        c1 = centralizer_of(moving)
+    else:
+        c1 = [ident[1:] + ident[:1]]
+        if n > 1:
+            c1.append((1, 0) + ident[2:])
+    return [from_mapping({win[j]: win[g[j]] for j in range(n)})
+            for g in sorted(centralizer_of(c1))]
+
+
+# the cycle shapes of the benchmark's double-centralizer families on {0..3}
+BENCHMARK_SHAPES = (
+    [[(0, 1)]], [[(0, 1), (2, 3)]], [[(0, 1, 2)], [(2, 3)]], [[(0, 1)], [(2, 3)]],
+)
+
+
+def cover_family(rng, points):
+    """Cycles over a seeded partition of `points` into blocks of two or
+    more, split among one to three members: the family moves every point."""
+    pts = list(points)
+    rng.shuffle(pts)
+    blocks = []
+    while pts:
+        size = len(pts) if len(pts) <= 3 else rng.randint(2, len(pts) - 2)
+        blocks.append(pts[:size])
+        pts = pts[size:]
+    members = [[] for _ in range(rng.randint(1, min(3, len(blocks))))]
+    for i, block in enumerate(blocks):
+        members[i % len(members)].append(block)
+    return [from_cycles(*cycles) for cycles in members]
+
+
+def differential_families(n):
+    rng = Random(1000 + n)
+    for shape in BENCHMARK_SHAPES:
+        label = rng.sample(range(4), 4)
+        yield [from_cycles(*[[label[x] for x in cycle] for cycle in cycles])
+               for cycles in shape]
+    for _ in range(6):
+        yield [random_finite_perm(rng, 4) for _ in range(rng.randint(1, 3))]
+    for rest in (0, 1, 2):
+        for _ in range(2):
+            yield cover_family(rng, rng.sample(range(n), n - rest))
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_double_centralizer_matches_reference(n):
+    rests = set()
+    for perms in differential_families(n):
+        moved = {x for f in perms for x in f.moved_points()}
+        rests.add(n - len(moved))
+        assert double_centralizer_window(perms, range(n)) == \
+            reference_double_centralizer(perms, range(n)), perms
+    assert {0, 1, 2} <= rests

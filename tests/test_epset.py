@@ -1,8 +1,10 @@
 from itertools import islice
+from random import Random
 
 import pytest
 
 from permtop import EPSet
+from permtop.perm import noncommuting_transposition, transposition
 from permtop.sampling import random_epset
 
 
@@ -120,6 +122,48 @@ def test_enumeration():
     assert EPSet.cofinite([5]).least_outside() == 5
     with pytest.raises(ValueError):
         EPSet.naturals().least_outside()
+
+
+def scan_least_member(s):
+    """Reference: scan every point below threshold + modulus."""
+    return next((x for x in range(s.threshold + s.modulus) if x in s), None)
+
+
+def scan_least_outside(s):
+    """Reference: scan every point up to threshold + modulus."""
+    return next((x for x in range(s.threshold + s.modulus + 1) if x not in s), None)
+
+
+def test_least_member_and_outside_match_scan():
+    rng = Random(8)
+    for i in range(3000):
+        s = random_epset(rng)
+        if i % 3 == 0:
+            # far corrections, and removed points that run a class up
+            far = rng.randrange(50, 200)
+            s = s | EPSet.finite([far]) if i % 2 else s - EPSet.finite(
+                [s.modulus * k + r for r in s.residues for k in range(rng.randrange(4))])
+        assert s.least_member() == scan_least_member(s), s
+        if scan_least_outside(s) is None:
+            with pytest.raises(ValueError):
+                s.least_outside()
+        else:
+            assert s.least_outside() == scan_least_outside(s), s
+
+
+def test_far_least_points_cost_nothing():
+    from time import perf_counter
+    start = perf_counter()
+    far = 10**7 + 1
+    assert EPSet.finite([far]).least_member() == far
+    assert EPSet.cofinite([far]).least_outside() == far
+    assert EPSet(2, (0,), added=[far], removed=[0, 2]).least_member() == 4
+    assert EPSet.evens().least_outside() == 1
+    assert (EPSet.naturals() - EPSet.finite([far])).least_outside() == far
+    t = transposition(far, far + 1)
+    assert t.least_moved() == far
+    assert noncommuting_transposition(t) == transposition(far, 0)
+    assert perf_counter() - start < 1.0
 
 
 def test_threshold_covers_corrections():

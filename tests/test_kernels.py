@@ -26,6 +26,34 @@ def brute_word_masks(mul, n, max_vars):
     return sorted(masks)
 
 
+def dfs_word_masks(mul, n, max_vars):
+    """Reference: the depth-first prefix walk, which extends every prefix
+    vector it reaches, equal ones included."""
+    inv = [next(y for y in range(n) if mul[x * n + y] == 0) for x in range(n)]
+    full = (1 << n) - 1
+    powers = (list(range(n)), inv)
+    masks = set()
+
+    def visit(prefix, depth):
+        fibers = {}
+        for x, y in enumerate(prefix):
+            fibers[y] = fibers.get(y, 0) | 1 << x
+        masks.update(full ^ f for f in fibers.values())
+        if len(fibers) < n:
+            masks.add(full)
+        if depth == max_vars:
+            return
+        for c in range(n):
+            rows = [mul[y * n + c] * n for y in prefix]
+            for power in powers:
+                visit([mul[r + v] for r, v in zip(rows, power)], depth + 1)
+
+    if max_vars >= 1:
+        for power in powers:
+            visit(power, 1)
+    return sorted(masks)
+
+
 Z4 = FiniteGroup.from_table_text("4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2")
 D4 = FiniteGroup.from_table_text(dihedral_table_text(4))
 
@@ -55,3 +83,29 @@ def test_word_masks_match_brute_force_cyclic_130():
     got = word_inequality_masks(flat, n, 1)
     assert got == brute_word_masks(flat, n, 1)
     assert len(got) > 0
+
+
+@pytest.mark.parametrize("group, max_vars", [
+    *[(FiniteGroup.symmetric(1), m) for m in (0, 1, 2, 8)],
+    *[(FiniteGroup.symmetric(2), m) for m in (1, 2, 3, 6)],
+    *[(FiniteGroup.symmetric(3), m) for m in (1, 2, 3, 4)],
+    *[(FiniteGroup.symmetric(4), m) for m in (1, 2, 3)],
+    *[(Z4, m) for m in (1, 2, 3, 4)],
+    *[(D4, m) for m in (1, 2, 3)],
+])
+def test_word_masks_match_dfs(group, max_vars):
+    n = group.order
+    assert word_inequality_masks(group._flat, n, max_vars) == \
+        dfs_word_masks(group._flat, n, max_vars)
+
+
+def test_word_masks_long_words_on_tiny_groups():
+    # distinct prefix vectors are extended once, so the admitted long words
+    # on S1 and S2 cost no more than their few distinct vectors
+    from time import perf_counter
+    s1, s2 = FiniteGroup.symmetric(1), FiniteGroup.symmetric(2)
+    start = perf_counter()
+    assert word_inequality_masks(s1._flat, 1, 21) == [0]
+    # every subset of S2 is a solution set from length 2 on
+    assert word_inequality_masks(s2._flat, 2, 10) == [0, 1, 2, 3]
+    assert perf_counter() - start < 1.0
