@@ -29,12 +29,8 @@ def word_inequality_masks(mul: Sequence[int], n: int, max_vars: int) -> list[int
     """
     if max_vars < 1:
         return []
-    inv = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if mul[x * n + y] == 0:
-                inv[x] = y
-                break
+    # the inverse of x is the position of the identity in row x
+    inv = [mul.index(0, x * n, (x + 1) * n) - x * n for x in range(n)]
     full = (1 << n) - 1
     bit = [1 << x for x in range(n)]
     powers = (tuple(range(n)), tuple(inv))  # x -> x and x -> x^-1

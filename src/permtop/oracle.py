@@ -6,6 +6,11 @@ Everything downstream (discreteness, comparison, continuity of the group
 operations) is decided from that map. Subsets of the group are bitmasks
 over element indices; the identity always has index 0.
 
+Group facts are read off whole rows (one-line images or Cayley-table
+rows): products compose rows, associativity is row(ab) = row(a) o row(b)
+per pair, the inverse of i is where the identity sits in row i, and the
+point fibers `tp` come from one pass over the rows.
+
 The conjugation families `cent`, `zpp` and `zp` come from the fibers of
 x -> x b x^-1, which are the left cosets of the centralizer C(b): one pass
 over the group per b, O(n^2) in all (see `generate_subbase` for why the
@@ -23,6 +28,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import permutations
+from operator import itemgetter
 from pathlib import Path
 
 from . import kernels
@@ -61,28 +67,19 @@ class FiniteGroup:
         self._rows = rows
         self._index = {r: i for i, r in enumerate(rows)} if rows is not None else None
         if rows is not None:
-            inv = []
-            for r in rows:
-                invrow = [0] * len(r)
-                for x, v in enumerate(r):
-                    invrow[v] = x
-                inv.append(self._index[tuple(invrow)])
+            # the inverse row lists, at each value, the point mapped to it
+            self.inverse = [self._index[tuple(map(r.index, range(len(r))))]
+                            for r in rows]
         else:
-            inv = [0] * order
-            for i in range(order):
-                for j in range(order):
-                    if self.mul(i, j) == 0:
-                        inv[i] = j
-                        break
-                else:
-                    raise NotAGroup(f"element {i} has no inverse")
-        self.inverse = inv
+            # the inverse of i is the position of the identity in row i
+            self.inverse = [flat.index(0, i * order, (i + 1) * order) - i * order
+                            for i in range(order)]
 
     def mul(self, i: int, j: int) -> int:
         if self._flat is not None:
             return self._flat[i * self.order + j]
         a, b = self._rows[i], self._rows[j]
-        return self._index[tuple(a[x] for x in b)]
+        return self._index[tuple(map(a.__getitem__, b))]
 
     def conj(self, x: int, b: int) -> int:
         return self.mul(self.mul(x, b), self.inverse[x])
@@ -106,20 +103,13 @@ class FiniteGroup:
         if n < 1:
             raise ValueError("degree must be positive")
         rows = list(permutations(range(n)))
-        order = len(rows)
-        names = ["".join(str(v) for v in r) for r in rows]
-        flat = None
-        if order <= FiniteGroup.EAGER_TABLE_LIMIT:
-            index = {r: i for i, r in enumerate(rows)}
-            flat = array("i", bytes(4 * order * order))
-            for i, a in enumerate(rows):
-                base = i * order
-                for j, b in enumerate(rows):
-                    flat[base + j] = index[tuple(a[x] for x in b)]
-        # composition of bijections is associative and the lex-least row is
-        # the identity, so only inverse existence is re-checked in __init__;
-        # file-loaded tables get the full axiom validation instead
-        return FiniteGroup(order, flat, names, rows)
+        group = FiniteGroup(len(rows), None, ["".join(map(str, r)) for r in rows], rows)
+        if group.order <= FiniteGroup.EAGER_TABLE_LIMIT:
+            # composing bijections is associative and the lex-least row is
+            # the identity, so unlike a table file this needs no validation
+            index, right = group._index, _composers(rows)
+            group._flat = array("i", [index[rb(a)] for a in rows for rb in right])
+        return group
 
     @staticmethod
     def from_table_text(text: str) -> "FiniteGroup":
@@ -158,24 +148,34 @@ class FiniteGroup:
         return FiniteGroup.from_table_text(Path(path).read_text())
 
 
+def _composers(rows: list[tuple[int, ...]]) -> list:
+    """Per row b, a -> a o b, (a o b)[x] = a[b[x]]; on one point, a o b = a."""
+    return [itemgetter(*b) for b in rows] if len(rows[0]) > 1 else [tuple]
+
+
 def _validate_table(flat: array, n: int) -> None:
+    """The group axioms on whole rows; row(ab) = row(a) o row(b) for a
+    pair (a, b) is (ab)c = a(bc) for every c at once."""
+    rows = [tuple(flat[i * n:(i + 1) * n]) for i in range(n)]
+    cols = list(zip(*rows))
     for j in range(n):
-        if flat[j] != j:
+        if rows[0][j] != j:
             raise NotAGroup("index 0 must be a left identity")
-        if flat[j * n] != j:
+        if cols[0][j] != j:
             raise NotAGroup("index 0 must be a right identity")
     full = set(range(n))
     for i in range(n):
-        if {flat[i * n + j] for j in range(n)} != full:
+        if set(rows[i]) != full:
             raise NotAGroup(f"row {i} is not a permutation")
-        if {flat[j * n + i] for j in range(n)} != full:
+        if set(cols[i]) != full:
             raise NotAGroup(f"column {i} is not a permutation")
-    for a in range(n):
-        for b in range(n):
-            ab = flat[a * n + b]
-            for c in range(n):
-                if flat[ab * n + c] != flat[a * n + flat[b * n + c]]:
-                    raise NotAGroup(f"associativity fails at ({a},{b},{c})")
+    right = _composers(rows)
+    for a, ra in enumerate(rows):
+        for b, rb in enumerate(rows):
+            rab = rows[ra[b]]
+            if rab != right[b](ra):
+                c = next(c for c in range(n) if rab[c] != ra[rb[c]])
+                raise NotAGroup(f"associativity fails at ({a},{b},{c})")
 
 
 def build_group(source: str) -> FiniteGroup:
@@ -267,14 +267,13 @@ def generate_subbase(group: FiniteGroup, spec: SubbaseSpec) -> Subbase:
     if spec.kind == "tp":
         if not group.has_realization:
             raise SpecMismatch("point fibers need a permutation realization")
-        degree = len(group.row(0))
-        for x in range(degree):
-            for y in range(degree):
-                m = 0
-                for i in range(n):
-                    if group.row(i)[x] == y:
-                        m |= 1 << i
-                masks.add(m)
+        # the fibers of (x, g(x)) over the rows; on S_n none is empty
+        point_fibers: dict[tuple[int, int], int] = {}
+        for i, row in enumerate(group._rows):
+            bit = 1 << i
+            for point in enumerate(row):
+                point_fibers[point] = point_fibers.get(point, 0) | bit
+        masks.update(point_fibers.values())
     elif spec.kind in ("zpp", "zp"):
         fibers = {b: _conj_fibers(group, b) for b in _involutions(group)}
         for fb in fibers.values():

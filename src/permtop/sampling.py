@@ -27,20 +27,16 @@ def random_finite_perm(rng: Random, bound: int) -> ResiduePerm:
     return random_window_perm(rng, pts)
 
 
-def random_involution(rng: Random, bound: int, nonidentity: bool = True) -> ResiduePerm:
-    """Product of disjoint transpositions within [0, bound)."""
-    while True:
-        size = 2 * rng.randint(1 if nonidentity else 0, bound // 2)
-        pts = rng.sample(range(bound), size)
-        rng.shuffle(pts)
-        mapping = {}
-        for i in range(0, len(pts), 2):
-            a, b = pts[i], pts[i + 1]
-            mapping[a] = b
-            mapping[b] = a
-        f = from_mapping(mapping)
-        if not nonidentity or not f.is_identity():
-            return f
+def random_involution(rng: Random, bound: int) -> ResiduePerm:
+    """Product of one or more disjoint transpositions within [0, bound)."""
+    pts = rng.sample(range(bound), 2 * rng.randint(1, bound // 2))
+    rng.shuffle(pts)
+    mapping = {}
+    for i in range(0, len(pts), 2):
+        a, b = pts[i], pts[i + 1]
+        mapping[a] = b
+        mapping[b] = a
+    return from_mapping(mapping)
 
 
 def random_sigma_type(rng: Random, bound: int = 12) -> ResiduePerm:
@@ -49,20 +45,18 @@ def random_sigma_type(rng: Random, bound: int = 12) -> ResiduePerm:
     return u * sigma() * u.inverse()
 
 
-def random_residue_perm(rng: Random, max_half_modulus: int = 4,
-                        infinite: bool | None = None) -> ResiduePerm:
+def random_residue_perm(rng: Random, infinite: bool = False) -> ResiduePerm:
     """Residue-class rearrangement composed with finite noise.
 
-    The eventual rule permutes residue classes mod an even M wholesale
+    The eventual rule permutes residue classes mod an even M <= 8 wholesale
     (x = r + Mq maps to rho(r) + Mq), so it is always a bijection; a
     random finite permutation supplies patch irregularity. infinite=True
-    forces a nontrivial rho, False forces the identity rule.
+    forces a nontrivial rho; otherwise rho is the identity with
+    probability 0.3.
     """
-    m = 2 * rng.randint(1, max_half_modulus)
+    m = 2 * rng.randint(1, 4)
     rho = list(range(m))
-    if infinite is not True and (infinite is False or rng.random() < 0.3):
-        pass
-    else:
+    if infinite or rng.random() >= 0.3:
         while rho == list(range(m)):
             rng.shuffle(rho)
     base = ResiduePerm(m, [rho[r] - r for r in range(m)])
@@ -80,20 +74,21 @@ def random_perm_mixed(rng: Random, bound: int = 20) -> ResiduePerm:
     return random_residue_perm(rng)
 
 
-def random_epset(rng: Random, max_modulus: int = 8) -> EPSet:
-    m = rng.randint(1, max_modulus)
+def random_epset(rng: Random) -> EPSet:
+    """Residue classes mod m <= 8 with up to three points added and removed."""
+    m = rng.randint(1, 8)
     residues = [r for r in range(m) if rng.random() < 0.5]
     added = rng.sample(range(3 * m), rng.randint(0, 3))
     removed = rng.sample(range(3 * m), rng.randint(0, 3))
     return EPSet(m, residues, added=added, removed=removed)
 
 
-def random_partition(rng: Random, max_pieces: int = 5,
-                     max_modulus: int = 12) -> Partition:
-    """Disjoint cover of the naturals: grouped residue classes mod an even
-    modulus, with a few single points traded between pieces."""
-    m = 2 * rng.randint(1, max_modulus // 2)
-    k = rng.randint(1, min(max_pieces, m))
+def random_partition(rng: Random) -> Partition:
+    """Disjoint cover of the naturals by at most five pieces: grouped
+    residue classes mod an even modulus <= 12, with a few single points
+    traded between pieces."""
+    m = 2 * rng.randint(1, 6)
+    k = rng.randint(1, min(5, m))
     groups: list[list[int]] = [[] for _ in range(k)]
     for r in range(m):
         groups[rng.randrange(k) if r >= k else r].append(r)
@@ -112,10 +107,11 @@ def random_partition(rng: Random, max_pieces: int = 5,
     return validate_partition(pieces)
 
 
-def random_free_word(rng: Random, generators, max_syllables: int = 4) -> FreeWord:
+def random_free_word(rng: Random, generators) -> FreeWord:
+    """Free reduction of up to four random syllables."""
     gens = sorted(generators)
     raw = [(rng.choice(gens), rng.choice((-2, -1, 1, 2)))
-           for _ in range(rng.randint(0, max_syllables))]
+           for _ in range(rng.randint(0, 4))]
     return FreeWord.from_raw(raw)
 
 

@@ -121,7 +121,7 @@ ONE = FreeWord(())
 
 
 def generator(k: int) -> FreeWord:
-    return FreeWord(((k, 1),))
+    return _word(((k, 1),))
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def sd_conj(h: SDElement, w: SDElement) -> SDElement:
 
 
 def word_element(v: FreeWord) -> SDElement:
-    return SDElement(v, 0)
+    return _sd(v, 0)
 
 
 class ThinSet:

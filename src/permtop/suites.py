@@ -317,7 +317,7 @@ def criterion_8(seed: int = 1, samples: int | None = None) -> CriterionResult:
     for a in (ThinSet.powers_of_two(), ThinSet.squares()):
         gens = sorted({k for k in range(17) if k in a} | {3, 5, 6})
         for raw in _reduced_words(gens, 4):
-            word = FreeWord.from_raw(raw) if raw else FreeWord(())
+            word = FreeWord.from_raw(raw)
             all_in = in_free_factor(word, a)
             for n in (-2, -1, 0, 1, 2):
                 total += 1

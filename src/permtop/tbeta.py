@@ -47,9 +47,9 @@ def validate_partition(pieces: Iterable[EPSet], modulus: int | None = None) -> P
 
     The modulus is the lcm of the pieces' periods, doubled when odd; an
     explicitly requested odd modulus is refused rather than silently
-    lifted. Any defect is reported at its least witnessing point: the
-    periodic parts settle everything beyond the last correction, so a
-    scan up to threshold + modulus is conclusive.
+    lifted. Any defect is reported at its least point, by `least_member`:
+    a gap lies outside the union, an overlap in a piece and in the union
+    of the pieces before it.
     """
     pieces = tuple(pieces)
     if not pieces:
@@ -63,13 +63,17 @@ def validate_partition(pieces: Iterable[EPSet], modulus: int | None = None) -> P
         m = modulus
     elif m % 2:
         m *= 2
-    bound = max(p.threshold for p in pieces) + m
-    for x in range(bound):
-        owners = sum(1 for p in pieces if x in p)
-        if owners == 0:
-            raise Gap(x)
-        if owners > 1:
-            raise Overlap(x)
+    union, overlap = EPSet.empty(), None
+    for p in pieces:
+        x = (p & union).least_member()
+        if x is not None and (overlap is None or x < overlap):
+            overlap = x
+        union |= p
+    gap = (~union).least_member()
+    if gap is not None and (overlap is None or gap < overlap):
+        raise Gap(gap)
+    if overlap is not None:
+        raise Overlap(overlap)
     return Partition(pieces, m)
 
 

@@ -37,6 +37,12 @@ def assert_pointwise_equal(f, g, bound=200):
         assert f.apply(x) == g.apply(x), (x, f.apply(x), g.apply(x))
 
 
+def cyclic_table_text(n):
+    """Cayley table of the cyclic group of order n; i has index i."""
+    return f"{n}\n" + "\n".join(" ".join(str((i + j) % n) for j in range(n))
+                                 for i in range(n))
+
+
 def dihedral_table_text(k):
     """Cayley table of the dihedral group of order 2k; r^i s^j has index i + k j."""
     n = 2 * k
@@ -49,3 +55,8 @@ def dihedral_table_text(k):
             row.append((i + (c if j == 0 else -c)) % k + k * ((j + d) % 2))
         rows.append(" ".join(map(str, row)))
     return f"{n}\n" + "\n".join(rows)
+
+
+def reference_inverses(flat, n):
+    """Inverses of a flat Cayley table by search: the least y with x y = e."""
+    return [next(y for y in range(n) if flat[x * n + y] == 0) for x in range(n)]

@@ -158,6 +158,106 @@ def test_oracle_report_on_s4_is_pinned(capsys):
     assert out == SN4_ORACLE_REPORT
 
 
+SN5_ORACLE_JSON = """\
+{
+  "command": "oracle",
+  "params": {
+    "group": "sn:5",
+    "max_word_len": "2",
+    "subbases": "tp,zpp,zp,zariski,cent"
+  },
+  "seed": null,
+  "timings_ms": null,
+  "verdicts": [
+    {
+      "detail": "25 basic sets, discrete=True, t1=True",
+      "name": "tp generated",
+      "ok": true
+    },
+    {
+      "detail": "326 basic sets, discrete=True, t1=True",
+      "name": "zpp generated",
+      "ok": true
+    },
+    {
+      "detail": "751 basic sets, discrete=True, t1=True",
+      "name": "zp generated",
+      "ok": true
+    },
+    {
+      "detail": "2861 basic sets, discrete=True, t1=True",
+      "name": "zariski generated",
+      "ok": true
+    },
+    {
+      "detail": "1120 basic sets, discrete=True, t1=True",
+      "name": "cent generated",
+      "ok": true
+    },
+    {
+      "detail": "equal",
+      "name": "tp vs zpp",
+      "ok": true
+    },
+    {
+      "detail": "equal",
+      "name": "tp vs zp",
+      "ok": true
+    },
+    {
+      "detail": "equal",
+      "name": "tp vs zariski",
+      "ok": true
+    },
+    {
+      "detail": "equal",
+      "name": "tp vs cent",
+      "ok": true
+    },
+    {
+      "detail": "equal",
+      "name": "zpp vs zp",
+      "ok": true
+    },
+    {
+      "detail": "equal",
+      "name": "zpp vs zariski",
+      "ok": true
+    },
+    {
+      "detail": "equal",
+      "name": "zpp vs cent",
+      "ok": true
+    },
+    {
+      "detail": "equal",
+      "name": "zp vs zariski",
+      "ok": true
+    },
+    {
+      "detail": "equal",
+      "name": "zp vs cent",
+      "ok": true
+    },
+    {
+      "detail": "equal",
+      "name": "zariski vs cent",
+      "ok": true
+    }
+  ],
+  "version": "VERSION",
+  "witnesses": []
+}
+"""
+
+
+def test_oracle_json_on_s5_is_pinned(capsys):
+    # the JSON report on S5, byte for byte but for the package version
+    code, out, _ = run(capsys, "oracle", "--group", "sn:5", "--format", "json")
+    assert code == 0
+    assert out == SN5_ORACLE_JSON.replace('"VERSION"', json.dumps(permtop.__version__))
+
+
 def test_witness_closed_ball(capsys):
     code, out, _ = run(capsys, "witness", "closed-ball", "--g", "(0 1 2)",
                        "--n", "2")

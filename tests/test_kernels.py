@@ -5,12 +5,12 @@ import pytest
 from permtop.kernels import word_inequality_masks
 from permtop.oracle import FiniteGroup
 
-from conftest import dihedral_table_text
+from conftest import cyclic_table_text, dihedral_table_text, reference_inverses
 
 
 def brute_word_masks(mul, n, max_vars):
     """Reference: evaluate every word x^s0 c0 ... x^s(m-1) c(m-1) at every x."""
-    inv = [next(y for y in range(n) if mul[x * n + y] == 0) for x in range(n)]
+    inv = reference_inverses(mul, n)
     masks = set()
     for m in range(1, max_vars + 1):
         for signs in product((False, True), repeat=m):
@@ -29,7 +29,7 @@ def brute_word_masks(mul, n, max_vars):
 def dfs_word_masks(mul, n, max_vars):
     """Reference: the depth-first prefix walk, which extends every prefix
     vector it reaches, equal ones included."""
-    inv = [next(y for y in range(n) if mul[x * n + y] == 0) for x in range(n)]
+    inv = reference_inverses(mul, n)
     full = (1 << n) - 1
     powers = (list(range(n)), inv)
     masks = set()
@@ -56,6 +56,8 @@ def dfs_word_masks(mul, n, max_vars):
 
 Z4 = FiniteGroup.from_table_text("4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2")
 D4 = FiniteGroup.from_table_text(dihedral_table_text(4))
+Z6 = FiniteGroup.from_table_text(cyclic_table_text(6))
+D6 = FiniteGroup.from_table_text(dihedral_table_text(6))
 
 
 def test_word_inequality_masks_s3_single_variable():
@@ -70,8 +72,12 @@ def test_word_inequality_masks_s3_single_variable():
     *[(FiniteGroup.symmetric(4), m) for m in (1, 2)],
     *[(Z4, m) for m in (1, 2, 3)],
     *[(D4, m) for m in (1, 2, 3)],
+    (Z6, 2),
+    (D6, 2),
 ])
 def test_word_masks_match_brute_force(group, max_vars):
+    # the references find inverses by search, the kernel reads them off
+    # the position of the identity in each row
     n = group.order
     assert word_inequality_masks(group._flat, n, max_vars) == \
         brute_word_masks(group._flat, n, max_vars)

@@ -3,9 +3,10 @@ from array import array
 
 import pytest
 
-from conftest import dihedral_table_text
+from conftest import cyclic_table_text, dihedral_table_text, reference_inverses
 from permtop.errors import CarrierMismatch, NotAGroup, SpecMismatch, TooLarge
 from permtop.oracle import (
+    _validate_table,
     Comparison,
     ContinuityReport,
     FiniteGroup,
@@ -36,11 +37,6 @@ LOOP5_TEXT = """5
 4 2 0 1 3"""
 
 
-def cyclic_table_text(n):
-    return f"{n}\n" + "\n".join(" ".join(str((i + j) % n) for j in range(n))
-                                 for i in range(n))
-
-
 def small_group(source):
     """`sn:k`, or a Cayley table: z4, z6, z12 (cyclic), d8, d12 (dihedral)."""
     texts = {"z4": Z4_TEXT, "z6": cyclic_table_text(6), "z12": cyclic_table_text(12),
@@ -69,17 +65,19 @@ def test_symmetric_group_basics():
         FiniteGroup.symmetric(0)
 
 
-def test_symmetric_group_composition_matches_rows():
-    g = FiniteGroup.symmetric(3)
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_symmetric_group_composition_matches_rows(degree):
+    g = FiniteGroup.symmetric(degree)
     # one-line images under lexicographic indexing
-    assert g.row(0) == (0, 1, 2)
-    assert g.row(5) == (2, 1, 0)
-    for i in range(6):
-        for j in range(6):
+    assert g.row(0) == tuple(range(degree))
+    assert g.row(g.order - 1) == tuple(reversed(range(degree)))
+    for i in range(g.order):
+        for j in range(g.order):
             ri, rj = g.row(i), g.row(j)
-            assert g.row(g.mul(i, j)) == tuple(ri[rj[x]] for x in range(3))
-    for i in range(6):
+            assert g.row(g.mul(i, j)) == tuple(ri[rj[x]] for x in range(degree))
+    for i in range(g.order):
         assert g.mul(i, g.inverse[i]) == 0
+    assert g.inverse == reference_inverses(g._flat, g.order)
 
 
 def test_large_symmetric_groups_have_no_eager_table():
@@ -90,7 +88,8 @@ def test_large_symmetric_groups_have_no_eager_table():
     i, j = 17, 4711
     ri, rj = g.row(i), g.row(j)
     assert g.row(g.mul(i, j)) == tuple(ri[rj[x]] for x in range(7))
-    assert g.mul(g.inverse[123], 123) == 0
+    for i in range(g.order):
+        assert g.mul(g.inverse[i], i) == 0
 
 
 def test_from_table_text_valid():
@@ -121,6 +120,101 @@ def test_from_table_text_rejections():
         FiniteGroup.from_table_text("2 names: e 0 1 1 0")
     with pytest.raises(TooLarge):
         FiniteGroup.from_table_text("201\n0")
+
+
+@pytest.mark.parametrize("source", ["z4", "z6", "z12", "d8", "d12", "c200"])
+def test_table_inverses_match_search(source):
+    # the position of the identity in each row, against the search for it
+    if source == "c200":
+        group = FiniteGroup.from_table_text(cyclic_table_text(200))
+    else:
+        group = small_group(source)
+    assert group.inverse == reference_inverses(group._flat, group.order)
+
+
+def reference_validate_table(flat, n):
+    """The entry-by-entry axiom check: associativity one triple at a time."""
+    for j in range(n):
+        if flat[j] != j:
+            raise NotAGroup("index 0 must be a left identity")
+        if flat[j * n] != j:
+            raise NotAGroup("index 0 must be a right identity")
+    full = set(range(n))
+    for i in range(n):
+        if {flat[i * n + j] for j in range(n)} != full:
+            raise NotAGroup(f"row {i} is not a permutation")
+        if {flat[j * n + i] for j in range(n)} != full:
+            raise NotAGroup(f"column {i} is not a permutation")
+    for a in range(n):
+        for b in range(n):
+            ab = flat[a * n + b]
+            for c in range(n):
+                if flat[ab * n + c] != flat[a * n + flat[b * n + c]]:
+                    raise NotAGroup(f"associativity fails at ({a},{b},{c})")
+
+
+def _random_reduced_latin_square(rng, n):
+    """A Latin square whose first row and column read 0..n-1, filled cell by
+    cell with the candidates in random order, backtracking on a dead end."""
+    sq = [[j if i == 0 else i if j == 0 else None for j in range(n)]
+          for i in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(sq[i][:j]) | {sq[r][j] for r in range(i)}
+        candidates = [v for v in range(n) if v not in used]
+        rng.shuffle(candidates)
+        for v in candidates:
+            sq[i][j] = v
+            if fill(k + 1):
+                return True
+        sq[i][j] = None
+        return False
+
+    assert fill(0)
+    return array("i", [v for row in sq for v in row])
+
+
+def _corrupted_tables(rng):
+    """Group tables with two entries swapped or an identity entry changed,
+    and reduced Latin squares, most of them not associative."""
+    for source in ("sn:3", "sn:4", "z4", "z6", "z12", "d8", "d12"):
+        group = small_group(source)
+        flat, n = group._flat, group.order
+        for _ in range(20):
+            out = array("i", flat)
+            p, q = rng.sample(range(n * n), 2)
+            out[p], out[q] = out[q], out[p]
+            yield out, n
+            out = array("i", flat)
+            j = rng.randrange(n)
+            p = rng.choice((j, j * n))
+            out[p] = rng.choice([v for v in range(n) if v != out[p]])
+            yield out, n
+    for n in (1, 2) + (3, 4, 5, 6) * 15:
+        yield _random_reduced_latin_square(rng, n), n
+
+
+def _outcome(check, flat, n):
+    try:
+        check(flat, n)
+    except NotAGroup as exc:
+        return exc.reason
+    return None
+
+
+def test_validate_table_matches_reference():
+    # the checks fire in the same order, so every rejection names the same
+    # first defect, the least failing triple for associativity
+    seen = set()
+    for flat, n in _corrupted_tables(random.Random(10)):
+        got = _outcome(_validate_table, flat, n)
+        assert got == _outcome(reference_validate_table, flat, n), (list(flat), n)
+        seen.add(got.split()[0] if got else None)
+    assert seen == {None, "index", "row", "column", "associativity"}
 
 
 def test_build_group(tmp_path):
@@ -193,6 +287,28 @@ def test_subbase_guards(s6, monkeypatch):
     assert calls == []
     assert generate_subbase(s6, SubbaseSpec("zariski", max_word_len=2)) == ()
     assert calls == [(720, 2)]
+
+
+def reference_point_fibers(group):
+    """The d^2 scan: one pass of `row` calls over the group per pair of
+    points (x, y)."""
+    n, degree = group.order, len(group.row(0))
+    masks = set()
+    for x in range(degree):
+        for y in range(degree):
+            m = 0
+            for i in range(n):
+                if group.row(i)[x] == y:
+                    m |= 1 << i
+            masks.add(m)
+    return tuple(sorted(masks))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6, 7])
+def test_point_fibers_match_reference(degree):
+    # S7 has no table: its rows are composed on the fly
+    group = FiniteGroup.symmetric(degree)
+    assert generate_subbase(group, SubbaseSpec("tp")) == reference_point_fibers(group)
 
 
 def reference_conj_family(group, kind):
@@ -594,10 +710,7 @@ def test_classify_continuity_indiscrete_order_200(monkeypatch):
     # indiscrete on an abelian group (U = G), where the reference scan
     # makes over n^4 = 1.6e9 products
     n = 200
-    # built directly: the table is cyclic by formula, and checking its
-    # associativity as a table file is O(n^3)
-    group = FiniteGroup(n, array("i", [(i + j) % n for i in range(n) for j in range(n)]),
-                        [str(i) for i in range(n)], None)
+    group = FiniteGroup.from_table_text(cyclic_table_text(n))
     nbhd = min_neighborhoods(group, generate_subbase(group, SubbaseSpec("cent")))
     assert nbhd.masks == ((1 << n) - 1,) * n
     calls = _count_products(monkeypatch)

@@ -1,3 +1,7 @@
+import random
+from math import lcm
+from time import perf_counter
+
 import pytest
 
 from permtop import EPSet, ResiduePerm, image
@@ -44,6 +48,74 @@ def test_validate_partition_rejections():
         # declared modulus must be a multiple of every piece's period
         validate_partition([EPSet.residue_class(4, 0),
                             ~EPSet.residue_class(4, 0)], modulus=2)
+
+
+def reference_validate_partition(pieces):
+    """The point scan: every x below the largest threshold plus the
+    modulus, counting the pieces that hold it."""
+    m = lcm(*(p.modulus for p in pieces))
+    if m % 2:
+        m *= 2
+    for x in range(max(p.threshold for p in pieces) + m):
+        owners = sum(1 for p in pieces if x in p)
+        if owners == 0:
+            raise Gap(x)
+        if owners > 1:
+            raise Overlap(x)
+
+
+def _defect(check, pieces):
+    try:
+        check(pieces)
+    except (Gap, Overlap) as exc:
+        return type(exc), exc.point
+    return None
+
+
+def _corrupted_partitions(rng):
+    """Seeded partitions as they are, with a point dropped from its piece,
+    and with a point added to a second piece."""
+    for _ in range(150):
+        pieces = list(random_partition(rng).pieces)
+        yield pieces
+        x = rng.randrange(4 * max(p.threshold + p.modulus for p in pieces))
+        owner = next(i for i, p in enumerate(pieces) if x in p)
+        dropped = pieces[:]
+        dropped[owner] = dropped[owner] - EPSet.finite([x])
+        yield dropped
+        if len(pieces) > 1:
+            other = rng.choice([i for i in range(len(pieces)) if i != owner])
+            added = pieces[:]
+            added[other] = added[other] | EPSet.finite([x])
+            yield added
+
+
+def test_validate_partition_matches_scan():
+    seen = set()
+    for pieces in _corrupted_partitions(random.Random(12)):
+        got = _defect(validate_partition, pieces)
+        assert got == _defect(reference_validate_partition, pieces), pieces
+        seen.add(got and got[0])
+    assert seen == {None, Gap, Overlap}
+    # a gap below an overlap, an overlap below a gap, and a later piece
+    # overlapping below an earlier one
+    for pieces, want in (([EPSet.cofinite([3]), EPSet.finite([7])], (Gap, 3)),
+                         ([EPSet.cofinite([7]), EPSet.finite([3])], (Overlap, 3)),
+                         ([EPSet.cofinite([3]), EPSet.finite([7]), EPSet.finite([3, 5])],
+                          (Overlap, 5))):
+        assert _defect(validate_partition, pieces) == want
+        assert _defect(reference_validate_partition, pieces) == want
+
+
+def test_validate_partition_far_corrections():
+    # the defects are read off the corrections: a far point costs nothing
+    far = 10 ** 6
+    start = perf_counter()
+    assert validate_partition([EPSet.finite([far]), EPSet.cofinite([far])]).modulus == 2
+    assert _defect(validate_partition, [EPSet.cofinite([far])]) == (Gap, far)
+    assert _defect(validate_partition, [EPSet.naturals(), EPSet.finite([far])]) == \
+        (Overlap, far)
+    assert perf_counter() - start < 1.0
 
 
 def test_partition_lookup():
