@@ -49,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="generate and compare sub-base topologies on "
                                  "a finite group")
     oracle.add_argument("--group", required=True,
-                        help="sn:N for a symmetric group, or table:FILE")
+                        help="sn:N for the symmetric group of degree N <= 6, "
+                             "or table:FILE")
     oracle.add_argument("--subbases", default="tp,zpp,zp,zariski,cent",
                         help="comma list from tp,zpp,zp,zariski,cent")
     oracle.add_argument("--max-word-len", type=int, default=2,

@@ -92,9 +92,10 @@ class SupportTooSmall(WitnessError):
 
 
 class SupportTooLarge(WitnessError):
-    def __init__(self, size, bound: int):
+    def __init__(self, size: int | None, bound: int):
         self.size = size
-        super().__init__(f"support has {size} points, bound is {bound}")
+        what = "is infinite" if size is None else f"has {size} points"
+        super().__init__(f"support {what}, bound is {bound}")
 
 
 class InfiniteSupport(WitnessError):

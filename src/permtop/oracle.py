@@ -45,48 +45,32 @@ def mask_bits(mask: int) -> list[int]:
 
 
 class FiniteGroup:
-    """Validated finite group: Cayley table, inverses, optional
-    permutation realization (one-line rows)."""
+    """Validated finite group: a flat Cayley table, the inverses read off
+    it, and for S_n the one-line rows as its permutation realization."""
 
-    __slots__ = ("order", "names", "inverse", "_flat", "_rows", "_index")
+    __slots__ = ("order", "names", "inverse", "_flat", "_rows")
 
-    # Above this order the symmetric-group table is left lazy: the flat
-    # table is quadratic in the order and composition is cheap anyway.
-    EAGER_TABLE_LIMIT = 1000
     FILE_ORDER_LIMIT = 200
     # Bound on the table entries the zariski word enumeration computes (and
     # on the masks it can emit): admits S6 at word length 2 (about 2.1e6),
     # refuses S5 at length 3 (about 1.4e7).
     WORD_WORK_LIMIT = 5_000_000
 
-    def __init__(self, order: int, flat: array | None, names: list[str],
+    def __init__(self, order: int, flat: array, names: list[str],
                  rows: list[tuple[int, ...]] | None):
         self.order = order
         self.names = names
         self._flat = flat
         self._rows = rows
-        self._index = {r: i for i, r in enumerate(rows)} if rows is not None else None
-        if rows is not None:
-            # the inverse row lists, at each value, the point mapped to it
-            self.inverse = [self._index[tuple(map(r.index, range(len(r))))]
-                            for r in rows]
-        else:
-            # the inverse of i is the position of the identity in row i
-            self.inverse = [flat.index(0, i * order, (i + 1) * order) - i * order
-                            for i in range(order)]
+        # the inverse of i is the position of the identity in row i
+        self.inverse = [flat.index(0, i * order, (i + 1) * order) - i * order
+                        for i in range(order)]
 
     def mul(self, i: int, j: int) -> int:
-        if self._flat is not None:
-            return self._flat[i * self.order + j]
-        a, b = self._rows[i], self._rows[j]
-        return self._index[tuple(map(a.__getitem__, b))]
+        return self._flat[i * self.order + j]
 
     def conj(self, x: int, b: int) -> int:
         return self.mul(self.mul(x, b), self.inverse[x])
-
-    @property
-    def has_table(self) -> bool:
-        return self._flat is not None
 
     @property
     def has_realization(self) -> bool:
@@ -97,19 +81,18 @@ class FiniteGroup:
 
     @staticmethod
     def symmetric(n: int) -> "FiniteGroup":
-        """S_n on {0..n-1}, elements in lexicographic one-line order."""
-        if n > 8:
-            raise TooLarge(f"symmetric group degree {n} > 8")
+        """S_n on {0..n-1}, elements in lexicographic one-line order. The
+        table of S7 would hold 25.4M entries, so degrees above 6 are refused."""
+        if n > 6:
+            raise TooLarge(f"symmetric group degree {n} > 6")
         if n < 1:
             raise ValueError("degree must be positive")
         rows = list(permutations(range(n)))
-        group = FiniteGroup(len(rows), None, ["".join(map(str, r)) for r in rows], rows)
-        if group.order <= FiniteGroup.EAGER_TABLE_LIMIT:
-            # composing bijections is associative and the lex-least row is
-            # the identity, so unlike a table file this needs no validation
-            index, right = group._index, _composers(rows)
-            group._flat = array("i", [index[rb(a)] for a in rows for rb in right])
-        return group
+        index, right = {r: i for i, r in enumerate(rows)}, _composers(rows)
+        # composing bijections is associative and the lex-least row is the
+        # identity, so unlike a table file this needs no validation
+        flat = array("i", [index[rb(a)] for a in rows for rb in right])
+        return FiniteGroup(len(rows), flat, ["".join(map(str, r)) for r in rows], rows)
 
     @staticmethod
     def from_table_text(text: str) -> "FiniteGroup":
@@ -185,9 +168,10 @@ def build_group(source: str) -> FiniteGroup:
     if src.startswith("sn"):
         tail = src[2:].strip("():").strip()
         try:
-            return FiniteGroup.symmetric(int(tail))
+            n = int(tail)
         except ValueError:
             raise NotAGroup(f"bad symmetric-group spec {source!r}") from None
+        return FiniteGroup.symmetric(n)
     if src.startswith("table:"):
         return FiniteGroup.from_table_file(src[len("table:"):])
     return FiniteGroup.from_table_file(src)
@@ -258,10 +242,6 @@ def generate_subbase(group: FiniteGroup, spec: SubbaseSpec) -> Subbase:
         the end, as s^-1 v != e iff v s^-1 != e), and constants range over G.
     """
     n = group.order
-    if spec.kind != "tp" and not group.has_table:
-        # the other families scan the group once per element, or per
-        # constant tuple of a word: refuse orders too big to tabulate
-        raise TooLarge(f"{spec.kind} sub-base needs a materialized table")
     full = (1 << n) - 1
     masks: set[int] = set()
     if spec.kind == "tp":

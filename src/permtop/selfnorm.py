@@ -133,11 +133,11 @@ class SDElement:
     def __mul__(self, other: "SDElement") -> "SDElement":
         if not isinstance(other, SDElement):
             return NotImplemented
-        return _sd(self.word * other.word.shifted(self.shift),
-                   self.shift + other.shift)
+        return SDElement(self.word * other.word.shifted(self.shift),
+                         self.shift + other.shift)
 
     def inverse(self) -> "SDElement":
-        return _sd(self.word.inverse().shifted(-self.shift), -self.shift)
+        return SDElement(self.word.inverse().shifted(-self.shift), -self.shift)
 
     def is_identity(self) -> bool:
         return self.shift == 0 and self.word.is_identity()
@@ -149,14 +149,6 @@ class SDElement:
         return self.to_literal()
 
 
-def _sd(word: FreeWord, shift: int) -> SDElement:
-    # Internal constructor, as _word: skips the dataclass __init__ call.
-    e = object.__new__(SDElement)
-    object.__setattr__(e, "word", word)
-    object.__setattr__(e, "shift", shift)
-    return e
-
-
 SD_ONE = SDElement(ONE, 0)
 
 
@@ -166,7 +158,7 @@ def sd_conj(h: SDElement, w: SDElement) -> SDElement:
 
 
 def word_element(v: FreeWord) -> SDElement:
-    return _sd(v, 0)
+    return SDElement(v, 0)
 
 
 class ThinSet:
@@ -237,18 +229,6 @@ class ThinSet:
 
         name = "finite{" + ",".join(str(p) for p in sorted(pts)) + "}"
         return ThinSet(name, pts.__contains__, gen, lambda n: len(pts))
-
-    @staticmethod
-    def stream(name: str, enumerate_from: Callable[[], Iterator[int]],
-               overlap_bound: Callable[[int], int]) -> "ThinSet":
-        def contains(x: int) -> bool:
-            for m in enumerate_from():
-                if m == x:
-                    return True
-                if m > x:
-                    return False
-            return False
-        return ThinSet(name, contains, enumerate_from, overlap_bound)
 
 
 def in_free_factor(w: FreeWord, a: ThinSet) -> bool:

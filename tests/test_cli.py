@@ -119,6 +119,11 @@ def test_oracle_command(capsys):
     code, out, err = run(capsys, "oracle", "--group", "sn:99")
     assert code == 2
     assert "error:" in err
+    # the S7 table would hold 25.4M entries: refused before any row is built
+    code, out, err = run(capsys, "oracle", "--group", "sn:7")
+    assert code == 2
+    assert out == ""
+    assert "degree 7 > 6" in err
     # refused up front: the word enumeration would compute ~1.4e7 entries
     code, out, err = run(capsys, "oracle", "--group", "sn:5",
                          "--subbases", "zariski", "--max-word-len", "3")

@@ -115,7 +115,7 @@ def test_thin_check_flags_violations():
             yield x
             x += 2
 
-    fake = ThinSet.stream("evens", gen, lambda n: 0)
+    fake = ThinSet("evens", lambda x: x >= 0 and x % 2 == 0, gen, lambda n: 0)
     r = thin_check(fake, 6)
     assert not r.ok
     assert r.violations

@@ -191,9 +191,9 @@ def test_point_support_witness_frozen():
 def test_point_support_witness_errors():
     with pytest.raises(PointNotInSupport):
         point_support_witness(transposition(0, 1), 5, 2)
-    with pytest.raises(SupportTooLarge):
+    with pytest.raises(SupportTooLarge, match="support has 3 points, bound is 2"):
         point_support_witness(ResiduePerm.from_cycles((0, 1, 2)), 0, 2)
-    with pytest.raises(SupportTooLarge):
+    with pytest.raises(SupportTooLarge, match="support is infinite, bound is 2"):
         point_support_witness(sigma(), 0, 2)
 
 
