@@ -48,29 +48,27 @@ def in_subgroup_centralizer(f: ResiduePerm, points: Iterable[int]) -> bool:
 
 
 def centralizer_equals_stabilizer(points: Iterable[int], window: Iterable[int]) -> bool:
-    """Brute-force test: inside S(window), centralizing all of S(points)
-    coincides with fixing `points` pointwise.
+    """Inside S(window), centralizing all of S(points) coincides with fixing
+    `points` pointwise: true whenever |points| >= 3, false for two points
+    (a transposition centralizes the group it generates while moving both).
 
-    True whenever |points| >= 3; the two-point case fails (a transposition
-    centralizes the group it generates while moving both points).
+    Only S(A), A = points, is scanned: a g in S(window) mapping A onto A is
+    judged by both predicates on g restricted to A, and one sending some a
+    in A outside A fails both, as g(a) != a and {g(a), g(b)} != {a, b} for
+    every other b in A. For |A| <= 1, S(A) is trivial, so the answer is
+    whether every g fixes A: A is empty or |window| = 1.
     """
-    pts = sorted(set(points))
-    win = sorted(set(window))
-    if not set(pts) <= set(win):
-        raise WindowTooSmall(f"window misses {sorted(set(pts) - set(win))}")
-    spots = [win.index(p) for p in pts]
-    pairs = list(combinations(spots, 2))
-    for perm in permutations(range(len(win))):
-        commutes = True
-        for i, j in pairs:
-            pi, pj = perm[i], perm[j]
-            if not ((pi == i and pj == j) or (pi == j and pj == i)):
-                commutes = False
-                break
-        fixes = all(perm[i] == i for i in spots)
-        if commutes != fixes:
-            return False
-    return True
+    pts = set(points)
+    win = set(window)
+    if not pts <= win:
+        raise WindowTooSmall(f"window misses {sorted(pts - win)}")
+    if len(pts) <= 1:
+        return not pts or len(win) == 1
+    ident = tuple(range(len(pts)))
+    pairs = list(combinations(ident, 2))
+    # per g in S(A): "commutes with every transposition" == "is the identity"
+    return all(all({g[i], g[j]} == {i, j} for i, j in pairs) == (g == ident)
+               for g in permutations(ident))
 
 
 def _cycles(row: Sequence[int]) -> list[list[int]]:

@@ -129,6 +129,8 @@ def _run_oracle(args, rep: Report) -> None:
                       max_word_len=str(args.max_word_len))
     group = build_group(args.group)
     kinds = [k.strip() for k in args.subbases.split(",") if k.strip()]
+    if not kinds:
+        raise PermtopError(f"--subbases names no family: {args.subbases!r}")
     maps = {}
     for kind in kinds:
         t0 = time.perf_counter()

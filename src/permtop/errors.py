@@ -115,8 +115,7 @@ class PointNotInSupport(WitnessError):
 
 
 class WindowTooSmall(WitnessError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    pass
 
 
 class NotMember(WitnessError):
@@ -167,13 +166,11 @@ class NotAGroup(OracleError):
 
 
 class TooLarge(OracleError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    pass
 
 
 class SpecMismatch(OracleError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    pass
 
 
 class CarrierMismatch(OracleError):

@@ -166,12 +166,6 @@ class Intersection(OpenSetExpr):
         object.__setattr__(self, "parts", tuple(self.parts))
 
 
-def conjneq_word(e: ConjNeq) -> GroupWord:
-    """Normalize ConjNeq(a, b) to the word x b x^-1 (a b a^-1)^-1."""
-    rhs = conjugate(e.a, e.b)
-    return GroupWord((Var(1), Const(e.b), Var(-1), Const(rhs.inverse())))
-
-
 def member(e: OpenSetExpr, f: ResiduePerm) -> bool:
     if isinstance(e, WordNeq):
         return not eval_word(e.word, f).is_identity()

@@ -445,4 +445,6 @@ def run_suite(name: str, seed: int = 1,
     numbers = SUITES.get(name)
     if numbers is None:
         raise KeyError(f"unknown suite {name!r}")
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
     return [CRITERIA[n](seed=seed, samples=samples) for n in numbers]

@@ -9,7 +9,7 @@ so outputs are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 
 from .errors import (
@@ -22,6 +22,7 @@ from .errors import (
     PointwiseFixed,
     SupportTooSmall,
     SupportTooLarge,
+    WitnessError,
 )
 from .perm import ResiduePerm, from_mapping, identity, noncommuting_transposition, transposition
 from .subbase import ConjNeq, Intersection, OpenSetExpr
@@ -157,20 +158,21 @@ class InjectiveTable:
     domain: tuple[int, ...]
     levels: int
     mapping: tuple[tuple[tuple[int, int], int], ...]
+    _table: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        table = dict(self.mapping)
+        object.__setattr__(self, "_table", dict(self.mapping))
         keys = {(a, kk) for a in self.domain for kk in range(self.levels + 1)}
-        if set(table) != keys:
+        if set(self._table) != keys:
             raise ValueError("table keys must cover domain x levels")
-        values = list(table.values())
+        values = list(self._table.values())
         if len(set(values)) != len(values):
             raise ValueError("table must be injective")
         if set(values) & set(self.domain):
             raise ValueError("table image must avoid the domain")
 
     def __call__(self, a: int, kk: int) -> int:
-        return dict(self.mapping)[(a, kk)]
+        return self._table[(a, kk)]
 
 
 def closed_ball_witness(g: ResiduePerm, n: int) -> tuple[Intersection, InjectiveTable]:
@@ -181,6 +183,8 @@ def closed_ball_witness(g: ResiduePerm, n: int) -> tuple[Intersection, Injective
     cannot meet all n+1 pairs of any column without containing a itself,
     nor contain every a of a support larger than n.
     """
+    if n < 0:
+        raise WitnessError(f"ball radius must be >= 0, got {n}")
     if not g.has_finite_support():
         raise InfiniteSupport()
     support = g.moved_points()

@@ -18,6 +18,11 @@ def test_criterion(number, request):
     assert result.ok, result.line()
 
 
+def test_criterion_5_detail():
+    assert CRITERIA[5](seed=1).detail == \
+        "939 (A, W) pairs exhaustive, two-point case fails as documented"
+
+
 def test_suites_cover_every_criterion():
     assert SUITES["all"] == tuple(range(1, 11))
     named = sorted(n for name in ("s2", "s5", "s6", "s7") for n in SUITES[name])

@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import combinations, permutations
 from random import Random
 
 import pytest
@@ -48,8 +48,45 @@ def test_centralizer_equals_stabilizer():
     assert not centralizer_equals_stabilizer((0,), range(3))
     # vacuous: with no marked points both sides are the whole window group
     assert centralizer_equals_stabilizer((), range(3))
+    # a one-point window: S(W) is trivial, so both sides agree
+    assert centralizer_equals_stabilizer((0,), (0,))
+    # the swap of a two-point window centralizes S(W) and moves both points
+    assert not centralizer_equals_stabilizer((0, 1), (0, 1))
     with pytest.raises(WindowTooSmall):
         centralizer_equals_stabilizer((0, 1, 5), range(4))
+
+
+def window_scan_centralizer_equals_stabilizer(points, window):
+    """Reference: the test over all |W|! permutations of the window."""
+    pts = sorted(set(points))
+    win = sorted(set(window))
+    if not set(pts) <= set(win):
+        raise WindowTooSmall(f"window misses {sorted(set(pts) - set(win))}")
+    spots = [win.index(p) for p in pts]
+    pairs = list(combinations(spots, 2))
+    for perm in permutations(range(len(win))):
+        commutes = True
+        for i, j in pairs:
+            pi, pj = perm[i], perm[j]
+            if not ((pi == i and pj == j) or (pi == j and pj == i)):
+                commutes = False
+                break
+        fixes = all(perm[i] == i for i in spots)
+        if commutes != fixes:
+            return False
+    return True
+
+
+def test_centralizer_equals_stabilizer_matches_window_scan():
+    checked = 0
+    for w_size in range(1, 8):
+        for win in combinations(range(7), w_size):
+            for a_size in range(w_size + 1):
+                for pts in combinations(win, a_size):
+                    checked += 1
+                    assert centralizer_equals_stabilizer(pts, win) == \
+                        window_scan_centralizer_equals_stabilizer(pts, win), (pts, win)
+    assert checked == 2186
 
 
 def test_double_centralizer_frozen():

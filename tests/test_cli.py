@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import permtop
-from permtop import cli
+from permtop import ResiduePerm, cli, suites, witness
+from permtop.errors import WitnessError
 from permtop.report import Check, Report
 
 
@@ -273,6 +274,22 @@ def test_witness_closed_ball(capsys):
     assert code == 2
 
 
+def test_witness_closed_ball_rejects_negative_radius(capsys):
+    code, out, err = run(capsys, "witness", "closed-ball", "--g", "(0 1 2)",
+                         "--n", "-1")
+    assert (code, out) == (2, "")
+    assert "radius" in err
+    with pytest.raises(WitnessError):
+        witness.closed_ball_witness(ResiduePerm.from_cycles((0, 1, 2)), -1)
+
+
+def test_oracle_rejects_empty_subbase_list(capsys):
+    for kinds in (",", "", " , "):
+        code, out, err = run(capsys, "oracle", "--group", "sn:3", "--subbases", kinds)
+        assert (code, out) == (2, ""), kinds
+        assert "names no family" in err
+
+
 def test_witness_cent_open(capsys):
     code, out, _ = run(capsys, "witness", "cent-open", "--g", "sigma",
                        "--avoid", "{0,1}")
@@ -310,6 +327,16 @@ def test_verify_suite(capsys):
     assert code == 0
     assert "criterion 09" in out or "criterion 9" in out
     assert "overall: PASS" in out
+
+
+def test_verify_rejects_nonpositive_samples(capsys):
+    for suite, samples in (("s7", "0"), ("s2", "-3")):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--samples", samples)
+        assert (code, out) == (2, ""), (suite, samples)
+        assert "samples must be positive, got " + samples in err
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            suites.run_suite("s2", samples=samples)
 
 
 def test_module_runs_from_source_tree():

@@ -145,6 +145,14 @@ def test_injective_table():
         )
 
 
+def test_injective_table_lookup_dict_is_not_a_field():
+    mapping = (((0, 0), 2), ((0, 1), 3), ((1, 0), 4), ((1, 1), 5))
+    t, u = InjectiveTable((0, 1), 1, mapping), InjectiveTable((0, 1), 1, mapping)
+    assert t == u and hash(t) == hash(u)
+    assert repr(t) == f"InjectiveTable(domain=(0, 1), levels=1, mapping={mapping!r})"
+    assert [t(a, k) for (a, k), _ in mapping] == [2, 3, 4, 5]
+
+
 def test_closed_ball_witness_frozen():
     c = ResiduePerm.from_cycles((0, 1, 2))
     expr, table = closed_ball_witness(c, 2)
