@@ -120,7 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", choices=sorted(suites.SUITES), default="all")
     ver.add_argument("--seed", type=int, default=1)
     ver.add_argument("--samples", type=int, default=None,
-                     help="override the per-criterion sample counts")
+                     help="override the sample counts of the sampling criteria "
+                          "(2, 3, 6, 7, 9 and 10); criteria 1, 4, 5 and 8 are "
+                          "exhaustive and ignore it")
     return ap
 
 

@@ -294,7 +294,18 @@ class ResiduePerm:
         return self.support().least_member()
 
     def is_involution(self) -> bool:
-        return (self * self).is_identity()
+        """f f == id, decided without building the product.
+
+        The eventual rule must undo itself on every residue; off
+        D + f^-1(D), D the patch domain, f f follows that rule. A point
+        x = f^-1(y) with y in D returns to itself exactly when
+        f(y) = f^-1(y), that is f(f(y)) = y, so checking D covers both.
+        """
+        m, s = self.modulus, self.shifts
+        if any(s[(r + s[r]) % m] != -s[r] for r in range(m)):
+            return False
+        apply = self.apply
+        return all(apply(apply(x)) == x for x in self._patch_map)
 
     # -- identity ----------------------------------------------------------------
 

@@ -6,6 +6,11 @@ shift automorphism z_k -> z_{k+1}, multiplied by
 
     (v, n) * (u, m) = (v * shift^n(u), n + m).
 
+Values are tuples: a FreeWord is the tuple of its syllables and an
+SDElement the pair (word, shift), each equal only to its own type. A
+product takes one pass, shifting u's syllables while cancelling them
+against v at the junction, and builds one word and one element.
+
 For a thin set A of generators (A and A+n overlap finitely for n != 0),
 the free factor F_A is its own normalizer; the certifier below produces
 a checkable witness for every element outside it. It reads the witness
@@ -21,86 +26,107 @@ after one O(|u|) scan of u, with no group arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import isqrt
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .errors import ZeroExponent
 
+_new = tuple.__new__
 
-@dataclass(frozen=True)
-class FreeWord:
-    """Freely reduced word; syllables are (generator, nonzero exponent)
-    with adjacent generators distinct."""
-    syllables: tuple[tuple[int, int], ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "syllables", tuple(tuple(s) for s in self.syllables))
-        for g, e in self.syllables:
+class _TupleValue(tuple):
+    """Immutable value stored as a tuple, compared only with its own type.
+
+    The inherited concatenation and repetition would build unreduced
+    words, so `+` and `int * value` are refused, and so is the inherited
+    ordering, which would also compare with plain tuples.
+    """
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not (type(other) is type(self) and tuple.__eq__(self, other))
+
+    __hash__ = tuple.__hash__
+
+    def __add__(self, other):
+        return NotImplemented
+
+    def __rmul__(self, other):
+        return NotImplemented
+
+    def _unordered(self, other):
+        raise TypeError(f"{type(self).__name__} values are not ordered")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+
+class FreeWord(_TupleValue):
+    """Freely reduced word: the tuple of its syllables (generator, nonzero
+    exponent), with adjacent generators distinct."""
+    __slots__ = ()
+
+    def __new__(cls, syllables: Iterable[tuple[int, int]] = ()) -> "FreeWord":
+        syllables = tuple(tuple(s) for s in syllables)
+        for g, e in syllables:
             if e == 0:
                 raise ZeroExponent(g)
-        for (g1, _), (g2, _) in zip(self.syllables, self.syllables[1:]):
+        for (g1, _), (g2, _) in zip(syllables, syllables[1:]):
             if g1 == g2:
                 raise ValueError(f"unreduced word: repeated generator {g1}")
+        return _new(cls, syllables)
+
+    @property
+    def syllables(self) -> tuple[tuple[int, int], ...]:
+        """The syllables as a plain tuple."""
+        return tuple(self)
 
     @staticmethod
     def from_raw(raw: Iterable[tuple[int, int]]) -> "FreeWord":
         """Free reduction of an arbitrary syllable list."""
-        stack: list[list[int]] = []
+        stack: list[tuple[int, int]] = []
         for g, e in raw:
             if e == 0:
                 raise ZeroExponent(g)
             if stack and stack[-1][0] == g:
-                stack[-1][1] += e
-                if stack[-1][1] == 0:
-                    stack.pop()
-            else:
-                stack.append([g, e])
-        return _word(tuple((g, e) for g, e in stack))
+                e += stack.pop()[1]
+                if e == 0:
+                    continue
+            stack.append((g, e))
+        return _word(tuple(stack))
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if not isinstance(other, FreeWord):
             return NotImplemented
-        # Both factors are reduced, so only the junction can cancel.
-        merged = list(self.syllables)
-        rest = other.syllables
-        j = 0
-        while merged and j < len(rest):
-            g, e = rest[j]
-            if merged[-1][0] != g:
-                break
-            s = merged[-1][1] + e
-            j += 1
-            if s == 0:
-                merged.pop()
-            else:
-                merged[-1] = (g, s)
-                break
-        merged.extend(rest[j:])
-        return _word(tuple(merged))
+        return _word(_join(self, other, 0))
 
     def inverse(self) -> "FreeWord":
-        return _word(tuple((g, -e) for g, e in reversed(self.syllables)))
+        return _word(tuple([(g, -e) for g, e in reversed(self)]))
 
     def shifted(self, n: int) -> "FreeWord":
         """Image under the shift automorphism z_k -> z_{k+n}."""
         if n == 0:
             return self
-        return _word(tuple((g + n, e) for g, e in self.syllables))
+        return _word(tuple([(g + n, e) for g, e in self]))
 
     def letters(self) -> set[int]:
-        return {g for g, _ in self.syllables}
+        return {g for g, _ in self}
 
     def is_identity(self) -> bool:
-        return not self.syllables
+        return not self
 
     def length(self) -> int:
-        return sum(abs(e) for _, e in self.syllables)
+        return sum(abs(e) for _, e in self)
 
     def to_literal(self) -> str:
-        if not self.syllables:
+        if not self:
             return "1"
         parts = []
-        for g, e in self.syllables:
+        for g, e in self:
             parts.extend([f"z{g}" if k > 0 else f"z{g}^-1"
                           for k in ([1] * e if e > 0 else [-1] * -e)])
         return " * ".join(parts)
@@ -109,12 +135,31 @@ class FreeWord:
         return self.to_literal()
 
 
-def _word(syllables: tuple[tuple[int, int], ...]) -> FreeWord:
-    # Internal constructor for syllable tuples that are reduced by
-    # construction; skips the dataclass validation pass.
-    w = object.__new__(FreeWord)
-    object.__setattr__(w, "syllables", syllables)
-    return w
+# Internal constructor for syllable tuples that are reduced by construction;
+# skips the validation pass.
+_word = partial(_new, FreeWord)
+
+
+def _join(v: tuple, u: tuple, n: int) -> tuple:
+    """Syllables of v * shift^n(u) for reduced v and u, in one pass.
+
+    Both factors are reduced, so only the junction can cancel; u is shifted
+    as its syllables are copied.
+    """
+    i, j, last = len(v), 0, len(u)
+    mid = ()
+    while i and j < last:
+        g, e = v[i - 1]
+        k, f = u[j]
+        if g != k + n:
+            break
+        i -= 1
+        j += 1
+        if e + f:
+            mid = ((g, e + f),)
+            break
+    tail = tuple([(k + n, f) for k, f in u[j:]]) if n else u[j:]
+    return v[:i] + mid + tail
 
 
 ONE = FreeWord(())
@@ -124,23 +169,35 @@ def generator(k: int) -> FreeWord:
     return _word(((k, 1),))
 
 
-@dataclass(frozen=True)
-class SDElement:
-    """Group element (word, shift)."""
-    word: FreeWord = ONE
-    shift: int = 0
+class SDElement(_TupleValue):
+    """Group element: the pair (word, shift)."""
+    __slots__ = ()
+
+    def __new__(cls, word: FreeWord = ONE, shift: int = 0) -> "SDElement":
+        return _new(cls, (word, shift))
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__(word, shift)
+        return tuple(self)
+
+    word = property(itemgetter(0))
+    shift = property(itemgetter(1))
 
     def __mul__(self, other: "SDElement") -> "SDElement":
+        """(v, n) * (u, m) = (v * shift^n(u), n + m)."""
         if not isinstance(other, SDElement):
             return NotImplemented
-        return SDElement(self.word * other.word.shifted(self.shift),
-                         self.shift + other.shift)
+        v, n = self
+        u, m = other
+        return _sd((_word(_join(v, u, n)), n + m))
 
     def inverse(self) -> "SDElement":
-        return SDElement(self.word.inverse().shifted(-self.shift), -self.shift)
+        """(v, n)^-1 = (shift^-n(v^-1), -n)."""
+        v, n = self
+        return _sd((_word(tuple([(g - n, -e) for g, e in reversed(v)])), -n))
 
     def is_identity(self) -> bool:
-        return self.shift == 0 and self.word.is_identity()
+        return self.shift == 0 and not self.word
 
     def to_literal(self) -> str:
         return f"( {self.word.to_literal()} ; {self.shift} )"
@@ -148,6 +205,9 @@ class SDElement:
     def __repr__(self) -> str:
         return self.to_literal()
 
+
+# Internal constructor from a (word, shift) pair.
+_sd = partial(_new, SDElement)
 
 SD_ONE = SDElement(ONE, 0)
 
@@ -158,7 +218,7 @@ def sd_conj(h: SDElement, w: SDElement) -> SDElement:
 
 
 def word_element(v: FreeWord) -> SDElement:
-    return SDElement(v, 0)
+    return _sd((v, 0))
 
 
 class ThinSet:
@@ -233,7 +293,11 @@ class ThinSet:
 
 def in_free_factor(w: FreeWord, a: ThinSet) -> bool:
     """F_A membership: every letter is a generator from A."""
-    return all(g in a for g, _ in w.syllables)
+    contains = a._contains
+    for g, _ in w:
+        if not contains(g):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -303,19 +367,21 @@ def certify_self_normalizing(h: SDElement, a: ThinSet, depth: int = 10) -> Verdi
     leaves at most finitely many k in A with k+n also in A; with shift 0
     and u outside F_A, already the first k escapes.
     """
-    u = h.word.syllables
-    u_in = in_free_factor(h.word, a)
-    if h.shift == 0 and u_in:
+    u, n = h
+    contains = a._contains
+    u_in = in_free_factor(u, a)
+    if n == 0 and u_in:
         return InSubgroup()
     tried = []
     for k in a:
         if len(tried) >= depth:
             break
         tried.append(k)
-        j = k + h.shift
-        if u_in and j in a:
+        j = k + n
+        if u_in and contains(j):
             continue
-        p = u[:-1] if u and u[-1][0] == j else u
-        word = _word(p + ((j, 1),) + tuple((g, -e) for g, e in reversed(p)))
-        return MovesOut(k, SDElement(word, 0))
+        # p: u without a trailing z_j syllable, as a plain tuple
+        p = u[:-1] if u and u[-1][0] == j else u[:]
+        word = _word(p + ((j, 1),) + tuple([(g, -e) for g, e in reversed(p)]))
+        return MovesOut(k, _sd((word, 0)))
     return Inconclusive(tuple(tried))

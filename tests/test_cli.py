@@ -329,6 +329,18 @@ def test_verify_suite(capsys):
     assert "overall: PASS" in out
 
 
+def test_verify_samples_leave_exhaustive_criteria_alone(capsys, monkeypatch):
+    # Criterion 8 ignores --samples too; it is stubbed here because the
+    # acceptance battery already runs it, and it is the slowest criterion.
+    monkeypatch.setitem(suites.CRITERIA, 8, lambda seed, samples: suites.CriterionResult(
+        8, "stub", True, "not run", 0.0))
+    code, out, _ = run(capsys, "verify", "--suite", "s5", "--samples", "5")
+    assert code == 0
+    assert "param samples = 5" in out
+    assert "939 (A, W) pairs exhaustive, two-point case fails as documented)" in out
+    assert "5 random families stable over three windows" in out
+
+
 def test_verify_rejects_nonpositive_samples(capsys):
     for suite, samples in (("s7", "0"), ("s2", "-3")):
         code, out, err = run(capsys, "verify", "--suite", suite, "--samples", samples)

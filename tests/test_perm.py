@@ -20,8 +20,8 @@ from permtop.errors import (
 )
 from permtop.literals import parse_perm
 from permtop.perm import identity, sigma, transposition
-from permtop.sampling import (random_epset, random_perm_mixed, random_residue_perm,
-                              random_sigma_type)
+from permtop.sampling import (random_epset, random_finite_perm, random_involution,
+                              random_perm_mixed, random_residue_perm, random_sigma_type)
 
 from conftest import assert_pointwise_equal, brute_moved
 
@@ -469,6 +469,46 @@ def test_direct_operations_match_products(seed):
         assert both == (f * g == g * f) == commutes(g, f), (f, g)
         outcomes.add(both)
     assert outcomes == {True, False}
+
+
+
+def _involution_candidate(rng):
+    """Mixed, finite-involution, sigma-type and residue-swap permutations,
+    some conjugated or spoiled by a transposition so both answers occur."""
+    roll = rng.randrange(6)
+    if roll == 0:
+        return random_perm_mixed(rng)
+    if roll == 1:
+        return random_involution(rng, 12)
+    if roll == 2:
+        return random_sigma_type(rng)
+    if roll == 3:
+        return random_residue_perm(rng, infinite=True)
+    # a residue rule that swaps classes in pairs, conjugated by finite noise
+    m = 2 * rng.randint(1, 4)
+    classes = list(range(m))
+    rng.shuffle(classes)
+    rho = list(range(m))
+    for a, b in zip(classes[::2], classes[1::2]):
+        if rng.random() < 0.7:
+            rho[a], rho[b] = b, a
+    u = random_finite_perm(rng, 2 * m + 4)
+    f = u * ResiduePerm(m, [rho[r] - r for r in range(m)]) * u.inverse()
+    if roll == 5:
+        f = f * transposition(*rng.sample(range(2 * m + 4), 2))
+    return f
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_is_involution_matches_product(seed):
+    rng = __import__("random").Random(seed)
+    outcomes = []
+    for _ in range(5000):
+        f = _involution_candidate(rng)
+        got = f.is_involution()
+        assert got == (f * f).is_identity(), f
+        outcomes.append(got)
+    assert 1000 < sum(outcomes) < 4000, sum(outcomes)
 
 
 # -- set images against the window scan they replaced ---------------------------

@@ -1,7 +1,12 @@
+import copy
+import pickle
+
 import pytest
 
+from permtop.errors import ZeroExponent
 from permtop.sampling import random_free_word, random_sd_element
 from permtop.selfnorm import (
+    ONE,
     SD_ONE,
     FreeWord,
     Inconclusive,
@@ -79,6 +84,100 @@ def test_sd_element_basics():
     assert sd_conj(shift, z2) == SDElement(generator(3), 0)
     assert SDElement(generator(2), 0).to_literal() == "( z2 ; 0 )"
     assert SD_ONE.to_literal() == "( 1 ; 0 )"
+
+
+
+# -- the value types are tuples, compared only with their own type -------------
+
+def test_value_types_compare_only_with_their_own_type():
+    assert FreeWord(()) != ()
+    assert not FreeWord(()) == ()
+    assert () != FreeWord(())
+    assert FreeWord(((1, 1),)) != ((1, 1),)
+    assert SDElement() != (ONE, 0)
+    assert (ONE, 0) != SDElement()
+    assert ONE != SD_ONE and SD_ONE != ONE
+    # equal as plain tuples, still never equal across the two types
+    w = FreeWord(((1, 1), (2, 1)))
+    h = SDElement((1, 1), (2, 1))
+    assert tuple(w) == tuple(h)
+    assert w != h and h != w and not w == h
+
+
+def test_value_types_hash_with_equality():
+    assert FreeWord.from_raw([(1, 1), (2, 1), (2, -2)]) == FreeWord(((1, 1), (2, -1)))
+    assert hash(FreeWord.from_raw([(1, 1), (2, 1), (2, -2)])) == \
+        hash(FreeWord(((1, 1), (2, -1))))
+    assert hash(SDElement(generator(2), 1)) == hash(SDElement(FreeWord(((2, 1),)), 1))
+    assert len({SD_ONE, SDElement(), SDElement(ONE, 0), SDElement(FreeWord(()))}) == 1
+
+
+def test_value_types_refuse_tuple_arithmetic():
+    w = FreeWord(((1, 1),))
+    h = SDElement(w, 1)
+    for op in (lambda: 3 * w, lambda: w + w, lambda: w * 3,
+               lambda: 3 * h, lambda: h + h, lambda: h * 3,
+               lambda: w < w, lambda: () <= ONE, lambda: h > SD_ONE):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_value_type_attributes():
+    w = FreeWord(((1, 1), (2, -1)))
+    assert type(w.syllables) is tuple
+    assert w.syllables == ((1, 1), (2, -1))
+    assert type(ONE.syllables) is tuple and ONE.syllables == ()
+    h = SDElement(w, 3)
+    assert h.word is w and h.shift == 3
+    assert SDElement(shift=2) == SDElement(ONE, 2)
+    assert SDElement(word=w) == SDElement(w, 0)
+
+
+def test_value_types_copy_and_pickle():
+    for v in (ONE, FreeWord(((1, 1), (2, -1))), SD_ONE,
+              SDElement(FreeWord(((3, 2),)), -4)):
+        for dup in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert dup == v and type(dup) is type(v)
+            assert type(dup.to_literal()) is str and dup.to_literal() == v.to_literal()
+
+
+def test_validating_constructor_errors():
+    with pytest.raises(ZeroExponent, match="generator 1 has exponent 0"):
+        FreeWord(((1, 0),))
+    with pytest.raises(ValueError, match="unreduced word: repeated generator 1"):
+        FreeWord(((1, 1), (1, 1)))
+    with pytest.raises(ZeroExponent, match="generator 2 has exponent 0"):
+        FreeWord.from_raw([(1, 1), (2, 0)])
+    assert FreeWord(syllables=[[1, 2], (3, -1)]) == FreeWord(((1, 2), (3, -1)))
+
+
+# -- the one-pass product and inverse against free reduction ---------------------
+
+def _short_words():
+    """Every reduced word of length <= 2 over z0, z1, z2, exponents +-1."""
+    letters = [(g, e) for g in (0, 1, 2) for e in (1, -1)]
+    raws = [[]] + [[x] for x in letters]
+    raws += [[x, y] for x in letters for y in letters if y != (x[0], -x[1])]
+    return [FreeWord.from_raw(raw) for raw in raws]
+
+
+def test_one_pass_product_matches_free_reduction():
+    words = _short_words()
+    assert len(words) == 37
+    for v in words:
+        for u in words:
+            assert v * u == FreeWord.from_raw(list(v) + list(u)), (v, u)
+    elements = [SDElement(w, n) for w in words for n in range(-2, 3)]
+    assert len(elements) == 185
+    for h in elements:
+        v, n = h.word, h.shift
+        assert h * h.inverse() == SD_ONE, h
+        assert h.inverse() == SDElement(
+            FreeWord.from_raw([(g - n, -e) for g, e in reversed(v)]), -n), h
+        for k in elements:
+            u, m = k.word, k.shift
+            assert h * k == SDElement(
+                FreeWord.from_raw(list(v) + [(g + n, e) for g, e in u]), n + m), (h, k)
 
 
 def test_thin_sets():
