@@ -11,8 +11,8 @@ suites together.
 
 from .epset import EPSet
 from .perm import (ResiduePerm, commutes, conjugate, from_cycles, from_mapping,
-                   identity, image, noncommuting_transposition, sigma, support,
-                   transposition)
+                   identity, image, intertwines, noncommuting_transposition, sigma,
+                   support, transposition)
 from .subbase import (ConjEq, ConjNeq, Const, DoubleConjNeq, FixesAll, GroupWord,
                       Intersection, OpenSetExpr, PointFiber, SupportIn, Var,
                       WordNeq, eval_word, member, tp_open_witness,

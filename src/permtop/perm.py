@@ -10,9 +10,11 @@ predicate used here (equality, support, commuting, set images) decidable.
 Every value is built by the one constructor, which proves it bijective
 with an exact test in O(|patch| + max|shift|), independent of how far out
 the patch lies; only a rejected input pays for a window scan that names the
-least offending point. Products read the factors' tables directly,
-conjugation g f g^-1 is built in one pass, and commutation is decided
-without building either product.
+least offending point. The constructor checks the residue rule, the patch
+and the minimal modulus in one pass each; the sorted patch tuple and the
+hash are derived only when asked for. Products read the factors' tables
+directly and conjugation g f g^-1 is built in one pass. `intertwines`
+decides f b f^-1 == c, and so commutation, without building anything.
 """
 
 from __future__ import annotations
@@ -55,14 +57,15 @@ def _is_bijection(modulus: int, shifts: tuple[int, ...], src: list[int],
         x = y - shifts[src[y % modulus]]
         if x >= 0 and x not in patch_map:
             return False
-    big = max(abs(s) for s in shifts)
-    sunk = 0
-    for x in range(big):
+    sunk = missed = 0
+    for x in range(max(map(abs, shifts))):
         if x + shifts[x % modulus] < 0:
             if x not in patch_map:
                 return False
             sunk += 1
-    return sunk == sum(1 for y in range(big) if y - shifts[src[y % modulus]] < 0)
+        if x - shifts[src[x % modulus]] < 0:
+            missed += 1
+    return sunk == missed
 
 
 def _raise_least_fault(modulus: int, shifts: tuple[int, ...],
@@ -103,7 +106,7 @@ class ResiduePerm:
     immutable; all operations return new values.
     """
 
-    __slots__ = ("modulus", "shifts", "patch",
+    __slots__ = ("modulus", "shifts",
                  "_patch_map", "_patch_inv", "_source_residue", "_hash")
 
     def __init__(self, modulus: int, shifts: Iterable[int],
@@ -115,38 +118,43 @@ class ResiduePerm:
             raise ValueError(f"need {modulus} shifts, got {len(shifts)}")
         if modulus % 2:
             modulus, shifts = 2 * modulus, shifts * 2
-        if {(r + shifts[r]) % modulus for r in range(modulus)} != set(range(modulus)):
-            raise BadResidueShift(modulus)
-
-        patch_map = dict(patch.items() if isinstance(patch, Mapping) else (patch or ()))
-        for x, y in patch_map.items():
-            if x < 0:
-                raise ValueError(f"patch source {x} is not a natural")
-            if y < 0:
-                raise NegativeImage(x, y)
-        # Minimal patch: drop entries the eventual rule already produces.
-        patch_map = {x: y for x, y in patch_map.items() if y != x + shifts[x % modulus]}
-        # Minimal even modulus with the same eventual rule.
-        if modulus > 2:
-            for d in range(2, modulus + 1, 2):
-                if modulus % d == 0 and all(shifts[r] == shifts[r % d] for r in range(modulus)):
-                    modulus, shifts = d, shifts[:d]
-                    break
-
-        src = [0] * modulus
+        # Residue condition: r -> r + shifts[r] permutes the residues, read
+        # off the source table as it is filled (a repeated target fails it).
+        src = [-1] * modulus
         for r in range(modulus):
-            src[(r + shifts[r]) % modulus] = r
+            t = (r + shifts[r]) % modulus
+            if src[t] >= 0:
+                raise BadResidueShift(modulus)
+            src[t] = r
+
+        # Natural entries only; a minimal patch drops entries the eventual
+        # rule already produces.
+        patch_map = {}
+        if patch:
+            for x, y in dict(patch).items():
+                if x < 0:
+                    raise ValueError(f"patch source {x} is not a natural")
+                if y < 0:
+                    raise NegativeImage(x, y)
+                if y != x + shifts[x % modulus]:
+                    patch_map[x] = y
+        # Minimal even modulus with the same eventual rule.
+        for d in range(2, modulus, 2):
+            if modulus % d == 0 and shifts == shifts[:d] * (modulus // d):
+                modulus, shifts = d, shifts[:d]
+                src = [src[t] % d for t in range(d)]
+                break
+
         patch_inv = {y: x for x, y in patch_map.items()}
         if not _is_bijection(modulus, shifts, src, patch_map, patch_inv):
             _raise_least_fault(modulus, shifts, patch_map)
 
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "shifts", shifts)
-        object.__setattr__(self, "patch", tuple(sorted(patch_map.items())))
-        object.__setattr__(self, "_patch_map", patch_map)
-        object.__setattr__(self, "_patch_inv", patch_inv)
-        object.__setattr__(self, "_source_residue", tuple(src))
-        object.__setattr__(self, "_hash", hash((modulus, shifts, self.patch)))
+        setattr_ = object.__setattr__
+        setattr_(self, "modulus", modulus)
+        setattr_(self, "shifts", shifts)
+        setattr_(self, "_patch_map", patch_map)
+        setattr_(self, "_patch_inv", patch_inv)
+        setattr_(self, "_source_residue", tuple(src))
 
     def __setattr__(self, name, value):
         raise AttributeError("ResiduePerm is immutable")
@@ -155,7 +163,8 @@ class ResiduePerm:
 
     @staticmethod
     def identity() -> "ResiduePerm":
-        return ResiduePerm(2, (0, 0))
+        """The identity, one shared value (instances are immutable)."""
+        return _IDENTITY
 
     @staticmethod
     def sigma() -> "ResiduePerm":
@@ -190,6 +199,11 @@ class ResiduePerm:
         return ResiduePerm(2, (0, 0), mapping)
 
     # -- evaluation --------------------------------------------------------
+
+    @property
+    def patch(self) -> tuple[tuple[int, int], ...]:
+        """The patch entries (x, f(x)), sorted by x."""
+        return tuple(sorted(self._patch_map.items()))
 
     @property
     def patch_threshold(self) -> int:
@@ -313,10 +327,15 @@ class ResiduePerm:
         if not isinstance(other, ResiduePerm):
             return NotImplemented
         return (self.modulus == other.modulus and self.shifts == other.shifts
-                and self.patch == other.patch)
+                and self._patch_map == other._patch_map)
 
     def __hash__(self) -> int:
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.modulus, self.shifts, self.patch))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition of a finitely supported permutation."""
@@ -340,16 +359,18 @@ class ResiduePerm:
             return "id"
         if not any(self.shifts):
             return "".join("(" + " ".join(str(p) for p in c) + ")" for c in self.cycles())
-        if self == ResiduePerm(2, (1, -1)) :
+        if self.shifts == (1, -1) and not self._patch_map:
             return "sigma"
         body = f"res[{self.modulus}; {','.join(str(s) for s in self.shifts)}"
-        if self.patch:
+        if self._patch_map:
             body += "; patch: " + ", ".join(f"{x}->{y}" for x, y in self.patch)
         return body + "]"
 
     def __repr__(self) -> str:
         return self.to_literal()
 
+
+_IDENTITY = ResiduePerm(2, (0, 0))
 
 # -- module-level conveniences (the operation vocabulary used everywhere) ----
 
@@ -366,7 +387,10 @@ def conjugate(g: ResiduePerm, f: ResiduePerm) -> ResiduePerm:
     Its eventual rule on a residue y mod lcm is y -> g(f(g^-1(y))) under
     the eventual rules, and g(x) can leave that rule only when x is a patch
     point of g or f or f(x) is one of g: x in D_g + D_f + f^-1(D_g).
+    Conjugating by the identity returns f itself.
     """
+    if g.is_identity():
+        return f
     gm, gs, gp = g.modulus, g.shifts, g._patch_map
     fm, fs, fp = f.modulus, f.shifts, f._patch_map
     gsrc = g._source_residue
@@ -387,23 +411,31 @@ def conjugate(g: ResiduePerm, f: ResiduePerm) -> ResiduePerm:
     return ResiduePerm(m, shifts, patch)
 
 
-def commutes(f: ResiduePerm, g: ResiduePerm) -> bool:
-    """f g == g f, decided without building either product.
+def intertwines(f: ResiduePerm, b: ResiduePerm, c: ResiduePerm) -> bool:
+    """f b == c f, that is f b f^-1 == c, decided without building anything.
 
-    The eventual rules of fg and gf must agree on every residue mod lcm;
-    off D_f + D_g + g^-1(D_f) + f^-1(D_g) both sides follow them.
+    The eventual rules of fb and cf must agree on every residue mod
+    lcm(f, b, c). Off D_b + b^-1(D_f) both b and then f follow their rules
+    at x, and off D_f + f^-1(D_c) so do f and then c; so the two sides can
+    differ elsewhere only at those finitely many points.
     """
     fm, fs, fp = f.modulus, f.shifts, f._patch_map
-    gm, gs, gp = g.modulus, g.shifts, g._patch_map
-    for r in range(lcm(fm, gm)):
-        d, e = gs[r % gm], fs[r % fm]
-        if d + fs[(r + d) % fm] != e + gs[(r + e) % gm]:
+    bm, bs, bp = b.modulus, b.shifts, b._patch_map
+    cm, cs, cp = c.modulus, c.shifts, c._patch_map
+    for r in range(lcm(fm, bm, cm)):
+        d, e = bs[r % bm], fs[r % fm]
+        if d + fs[(r + d) % fm] != e + cs[(r + e) % cm]:
             return False
-    candidates = set(fp)
-    candidates.update(gp)
-    candidates.update(g.apply_inverse(k) for k in fp)
-    candidates.update(f.apply_inverse(k) for k in gp)
-    return all(f.apply(g.apply(x)) == g.apply(f.apply(x)) for x in candidates)
+    candidates = set(bp)
+    candidates.update(fp)
+    candidates.update(b.apply_inverse(k) for k in fp)
+    candidates.update(f.apply_inverse(k) for k in cp)
+    return all(f.apply(b.apply(x)) == c.apply(f.apply(x)) for x in candidates)
+
+
+def commutes(f: ResiduePerm, g: ResiduePerm) -> bool:
+    """f g == g f, decided without building either product."""
+    return intertwines(f, g, g)
 
 
 def support(f: ResiduePerm) -> EPSet:

@@ -4,6 +4,12 @@ The topologies studied here are generated by sub-basic sets of a handful
 of shapes: word inequalities, conjugation (in)equalities, point fibers,
 pointwise stabilizers and support confinements. Carriers are infinite, so
 sets stay symbolic: each expression only answers membership queries.
+
+Conjugation sets keep their constant target a b a^-1, computed once when
+the expression is built, and membership of f is decided by
+`perm.intertwines(f, b, target)`, which builds no permutation; the
+double conjugation set builds only f c f^-1. Every permutation that is
+built still goes through the one validating `ResiduePerm` constructor.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from .errors import NotInvolution, NotMember, WitnessError, InfiniteSupport
-from .perm import ResiduePerm, conjugate, identity
+from .perm import ResiduePerm, commutes, conjugate, identity, intertwines
 
 
 @dataclass(frozen=True)
@@ -53,12 +59,13 @@ class GroupWord:
 
 
 def eval_word(w: GroupWord, x: ResiduePerm) -> ResiduePerm:
-    out = identity()
+    out = None
     for letter in w.letters:
         if isinstance(letter, Var):
-            out = out * (x if letter.exp == 1 else x.inverse())
+            factor = x if letter.exp == 1 else x.inverse()
         else:
-            out = out * letter.perm
+            factor = letter.perm
+        out = factor if out is None else out * factor
     return out
 
 
@@ -101,10 +108,12 @@ class ConjNeq(OpenSetExpr):
     """{x : x b x^-1 != a b a^-1}, b an involution (b=1 allowed, empty set)."""
     a: ResiduePerm
     b: ResiduePerm
+    target: ResiduePerm = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.b.is_involution():
             raise NotInvolution()
+        object.__setattr__(self, "target", conjugate(self.a, self.b))
 
 
 @dataclass(frozen=True)
@@ -134,6 +143,10 @@ class ConjEq(OpenSetExpr):
     """{x : x b x^-1 = a b a^-1}."""
     a: ResiduePerm
     b: ResiduePerm
+    target: ResiduePerm = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "target", conjugate(self.a, self.b))
 
 
 @dataclass(frozen=True)
@@ -170,14 +183,13 @@ def member(e: OpenSetExpr, f: ResiduePerm) -> bool:
     if isinstance(e, WordNeq):
         return not eval_word(e.word, f).is_identity()
     if isinstance(e, ConjNeq):
-        return conjugate(f, e.b) != conjugate(e.a, e.b)
+        return not intertwines(f, e.b, e.target)
     if isinstance(e, DoubleConjNeq):
-        d = conjugate(f, e.c)
-        return conjugate(d, e.b) != e.b
+        return not commutes(conjugate(f, e.c), e.b)
     if isinstance(e, PointFiber):
         return f.apply(e.x) == e.y
     if isinstance(e, ConjEq):
-        return conjugate(f, e.b) == conjugate(e.a, e.b)
+        return intertwines(f, e.b, e.target)
     if isinstance(e, FixesAll):
         return all(f.apply(p) == p for p in e.points)
     if isinstance(e, SupportIn):
@@ -192,10 +204,11 @@ def _defining_inequality(e: OpenSetExpr) -> tuple[GroupWord, ResiduePerm]:
     if isinstance(e, WordNeq):
         return e.word, identity()
     if isinstance(e, ConjNeq):
-        return GroupWord.conj(e.b), conjugate(e.a, e.b)
+        return GroupWord.conj(e.b), e.target
     if isinstance(e, DoubleConjNeq):
+        # (x c x^-1)^-1 = x c x^-1: c is an involution
         w = GroupWord((Var(1), Const(e.c), Var(-1), Const(e.b),
-                       Var(1), Const(e.c.inverse()), Var(-1)))
+                       Var(1), Const(e.c), Var(-1)))
         return w, e.b
     raise TypeError(f"no defining inequality for {type(e).__name__}")
 

@@ -8,6 +8,7 @@ from permtop import (
     commutes,
     conjugate,
     image,
+    intertwines,
     noncommuting_transposition,
     support,
 )
@@ -173,6 +174,38 @@ def test_equality_and_hash():
     b = transposition(0, 1) * transposition(1, 2)
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_hash_is_the_canonical_tuple_hash(rng):
+    for _ in range(500):
+        f = random_perm_mixed(rng)
+        assert hash(f) == hash((f.modulus, f.shifts, f.patch))
+        assert hash(f) == hash(f)
+
+
+def test_identity_is_one_shared_immutable_value():
+    e = identity()
+    assert e is identity() is ResiduePerm.identity()
+    assert e == ResiduePerm(2, (0, 0)) and e.is_identity()
+    with pytest.raises(AttributeError):
+        e.modulus = 4
+    with pytest.raises(AttributeError):
+        e.extra = 1
+    assert e.modulus == 2 and e.shifts == (0, 0) and e.patch == ()
+
+
+def test_redundant_patch_entries_are_canonical(rng):
+    for _ in range(500):
+        f = random_perm_mixed(rng)
+        # entries the rule already gives, over a multiple of the modulus
+        extra = [(x, f.apply(x)) for x in rng.sample(range(60), 6)]
+        items = list(f.patch) + extra
+        rng.shuffle(items)
+        g = ResiduePerm(3 * f.modulus, f.shifts * 3, items)
+        assert g == f and hash(g) == hash(f)
+        assert (g.modulus, g.shifts, g.patch) == (f.modulus, f.shifts, f.patch)
+    # a repeated source keeps its last value
+    assert ResiduePerm(2, (0, 0), [(0, 5), (0, 1), (1, 0)]) == transposition(0, 1)
 
 
 def test_commutes():
@@ -471,6 +504,39 @@ def test_direct_operations_match_products(seed):
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_intertwines_matches_products(seed):
+    """intertwines(f, b, c) == (f b == c f) on 2,500 triples per seed; every
+    third c is f b f^-1, so the true branch is exercised."""
+    rng = __import__("random").Random(seed)
+    outcomes, conjugates, infinite = set(), 0, 0
+    for i in range(2500):
+        f = random_perm_mixed(rng)
+        b = _partner(rng, f) if i % 2 else random_perm_mixed(rng)
+        if i % 3 == 0:
+            c = conjugate(f, b)
+            conjugates += 1
+        elif i % 3 == 1:
+            # one point off the conjugate, or a partner of it
+            a = rng.randrange(30)
+            c = conjugate(f, b) * transposition(a, a + rng.choice((1, 2, 50)))
+        else:
+            c = _partner(rng, b)
+        got = intertwines(f, b, c)
+        assert got == (f * b == c * f), (f, b, c)
+        outcomes.add(got)
+        infinite += any(not p.has_finite_support() for p in (f, b, c))
+    assert outcomes == {True, False}
+    assert 3 * conjugates >= 2500 and infinite > 1000, (conjugates, infinite)
+
+
+def test_intertwines_checks_the_patch_domain_of_f():
+    # f sigma and f f differ only at 1 and 2, the patch domain of f; the
+    # other candidate points (sigma^-1 and f^-1 of that domain) are 0 and 3
+    f = ResiduePerm(2, (1, -1), {1: 3, 2: 0})
+    assert f * sigma() != f * f
+    assert not intertwines(f, sigma(), f)
+
 
 def _involution_candidate(rng):
     """Mixed, finite-involution, sigma-type and residue-swap permutations,
@@ -573,5 +639,6 @@ def test_far_points_cost_nothing():
     assert conjugate(u, t) == transposition(10**7, 10**7 + 1)
     assert not commutes(t, transposition(0, 1))
     assert commutes(t, sigma() * sigma())
+    assert intertwines(u, t, transposition(10**7, 10**7 + 1))
     assert image(t, EPSet.finite([0])) == EPSet.finite([10**7])
     assert perf_counter() - start < 1.0

@@ -3,7 +3,8 @@ import pytest
 from permtop import ResiduePerm, conjugate
 from permtop.errors import InfiniteSupport, NotInvolution, NotMember, WitnessError
 from permtop.perm import identity, sigma, transposition
-from permtop.sampling import random_finite_perm, random_involution, random_perm_mixed
+from permtop.sampling import (random_finite_perm, random_involution, random_perm_mixed,
+                              random_sigma_type)
 from permtop.subbase import (
     ConjEq,
     ConjNeq,
@@ -21,6 +22,7 @@ from permtop.subbase import (
     tp_open_witness,
     traced_point_eval,
 )
+from permtop.witness import closed_ball_witness
 
 
 def perm_with_pairs(pairs):
@@ -198,3 +200,89 @@ def test_conjugation_word_matches_direct_conjugation(rng):
         w = GroupWord.conj(b)
         f = random_perm_mixed(rng)
         assert eval_word(w, f) == conjugate(f, b)
+
+
+# -- conjugation-set membership against the two-conjugate formulas ----------
+
+def _random_involution(rng):
+    """Finite, sigma-type and residue-swap involutions, some conjugated by a
+    mixed permutation, and the identity."""
+    roll = rng.randrange(5)
+    if roll == 0:
+        return identity()
+    if roll == 1:
+        return random_involution(rng, 8)
+    if roll == 2:
+        return random_sigma_type(rng)
+    b = ResiduePerm(4, (2, 0, -2, 0)) if roll == 3 else random_involution(rng, 6)
+    return conjugate(random_perm_mixed(rng), b)
+
+
+def _candidate(rng, a, b):
+    """A random f, or one that lands on a b a^-1 (a, a b, a times a far
+    transposition when b has finite support)."""
+    roll = rng.randrange(4)
+    if roll == 0:
+        return a
+    if roll == 1:
+        return a * b
+    if roll == 2 and b.has_finite_support():
+        return a * transposition(40, 41 + rng.randrange(5))
+    return random_perm_mixed(rng)
+
+
+def test_conjugation_membership_matches_conjugate_formulas(rng):
+    seen = set()
+    for _ in range(600):
+        a, b, c = random_perm_mixed(rng), _random_involution(rng), _random_involution(rng)
+        f = _candidate(rng, a, b)
+        differs = conjugate(f, b) != conjugate(a, b)
+        assert member(ConjNeq(a, b), f) == differs, (a, b, f)
+        assert member(ConjEq(a, b), f) == (not differs), (a, b, f)
+        g = _candidate(rng, identity(), c) if rng.random() < 0.3 else f
+        moves = conjugate(conjugate(g, c), b) != b
+        assert member(DoubleConjNeq(b, c), g) == moves, (b, c, g)
+        seen.add((differs, moves))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_conjugation_target_is_not_a_field():
+    a, t = sigma(), transposition(0, 1)
+    for kind in (ConjNeq, ConjEq):
+        e = kind(a, t)
+        assert e.target == conjugate(a, t) == t  # sigma swaps 0 and 1
+        assert e == kind(a, t) and hash(e) == hash(kind(a, t))
+        assert repr(e) == f"{kind.__name__}(a=sigma, b=(0 1))"
+        with pytest.raises(TypeError):
+            kind(a, t, t)
+    assert ConjNeq(identity(), t).target is t
+
+
+def _count_builds(monkeypatch):
+    count = [0]
+    init = ResiduePerm.__init__
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResiduePerm, "__init__", counted)
+    return count
+
+
+def test_conjugation_membership_build_counts(monkeypatch):
+    t, u = transposition(0, 1), transposition(2, 3)
+    a = ResiduePerm.from_cycles((0, 2, 4))
+    f, at, h = transposition(0, 3), a * t, ResiduePerm.from_cycles((1, 2, 3))
+    neq, eq, dbl = ConjNeq(a, t), ConjEq(a, t), DoubleConjNeq(t, u)
+    g = ResiduePerm.from_cycles((0, 1, 2), (5, 6))
+    ball, _ = closed_ball_witness(g, 2)
+    builds = _count_builds(monkeypatch)
+    assert member(neq, f) and not member(neq, a) and not member(neq, at)
+    assert not member(eq, f) and member(eq, a)
+    assert member(ball, g) and not member(ball, f)
+    assert builds[0] == 0
+    ConjNeq(a=identity(), b=t)
+    assert builds[0] == 0
+    assert member(dbl, h)
+    assert builds[0] == 1
