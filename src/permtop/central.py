@@ -9,9 +9,11 @@ the symmetric group S(W) of a finite window W, from two facts:
 2. c(c(F)) is the set of permutations commuting with a generating set of
    c(F): the members of C_S(M)(F), a transposition and the |R|-cycle on R.
 
-Neither fact assumes the answer is stable as the window grows; that
-stability (the centralizer of S(A) is the pointwise stabilizer of A once
-|A| >= 3) is what acceptance criterion 6 checks, not what the code uses.
+Neither fact assumes the answer is stable as the window grows; acceptance
+criterion 6 checks that stability. The stabilizer comparison (criterion 5)
+uses the same cycle-type machinery: centralizing S(A) inside S(W) is fixing
+A pointwise exactly when the centralizer in S(A) of its two generators, a
+transposition and the |A|-cycle, is trivial, which holds once |A| >= 3.
 """
 
 from __future__ import annotations
@@ -52,11 +54,17 @@ def centralizer_equals_stabilizer(points: Iterable[int], window: Iterable[int]) 
     `points` pointwise: true whenever |points| >= 3, false for two points
     (a transposition centralizes the group it generates while moving both).
 
-    Only S(A), A = points, is scanned: a g in S(window) mapping A onto A is
+    Only S(A), A = points, matters: a g in S(window) mapping A onto A is
     judged by both predicates on g restricted to A, and one sending some a
     in A outside A fails both, as g(a) != a and {g(a), g(b)} != {a, b} for
     every other b in A. For |A| <= 1, S(A) is trivial, so the answer is
     whether every g fixes A: A is empty or |window| = 1.
+
+    Inside S(A) the two sides agree iff only the identity centralizes S(A).
+    Relabelled as S(k), k = |A|, the group is generated by (0 1) and the
+    k-cycle, so its centralizer is theirs: the centralizer of one generator,
+    read off its cycle type (the k rotations of the cycle once k >= 4),
+    filtered by commuting with the other. O(k^2), not k!.
     """
     pts = set(points)
     win = set(window)
@@ -65,10 +73,8 @@ def centralizer_equals_stabilizer(points: Iterable[int], window: Iterable[int]) 
     if len(pts) <= 1:
         return not pts or len(win) == 1
     ident = tuple(range(len(pts)))
-    pairs = list(combinations(ident, 2))
-    # per g in S(A): "commutes with every transposition" == "is the identity"
-    return all(all({g[i], g[j]} == {i, j} for i, j in pairs) == (g == ident)
-               for g in permutations(ident))
+    cycle, swap = ident[1:] + ident[:1], (1, 0) + ident[2:]
+    return _centralizer_of([cycle, swap], len(ident)) == [ident]
 
 
 def _cycles(row: Sequence[int]) -> list[list[int]]:

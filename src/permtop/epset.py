@@ -64,6 +64,11 @@ class EPSet:
     def __setattr__(self, name, value):
         raise AttributeError("EPSet is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor
+        return EPSet, (self.modulus, sorted(self.residues),
+                       sorted(self.added), sorted(self.removed))
+
     # -- construction ---------------------------------------------------
 
     @staticmethod

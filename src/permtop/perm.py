@@ -159,6 +159,10 @@ class ResiduePerm:
     def __setattr__(self, name, value):
         raise AttributeError("ResiduePerm is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the one constructor
+        return ResiduePerm, (self.modulus, self.shifts, self.patch)
+
     # -- construction -----------------------------------------------------
 
     @staticmethod
@@ -270,14 +274,15 @@ class ResiduePerm:
     def __pow__(self, n: int) -> "ResiduePerm":
         if n < 0:
             return self.inverse() ** (-n)
-        out, square = ResiduePerm.identity(), self
+        # the first factor needed starts the product: no identity * f
+        out, square = None, self
         while n:
             if n & 1:
-                out = out * square
+                out = square if out is None else out * square
             n >>= 1
             if n:
                 square = square * square
-        return out
+        return ResiduePerm.identity() if out is None else out
 
     # -- predicates ------------------------------------------------------------
 

@@ -135,12 +135,23 @@ def criterion_3(seed: int = 1, samples: int | None = None) -> CriterionResult:
 
 # -- 4: closed balls and isolation ------------------------------------------------
 
-def _pair_fixed(f: tuple[int, ...], a: int, c: int) -> bool:
-    # {a, c} invariant under the window permutation f (points beyond the
-    # window are fixed by convention).
-    fa = f[a] if a < len(f) else a
-    fc = f[c] if c < len(f) else c
-    return (fa == a and fc == c) or (fa == c and fc == a)
+def _pair_bit(a: int, c: int, window: int) -> int:
+    # Points beyond the window are fixed by convention, so for the pair
+    # {a, c} they all behave alike: each stands in as the point `window`.
+    return 1 << (min(a, window) * (window + 1) + min(c, window))
+
+
+def _fixed_pairs(f: tuple[int, ...]) -> int:
+    """Bit mask of the ordered pairs (a, c) whose set {a, c} the window
+    permutation f maps onto itself, with `_pair_bit` numbering."""
+    window = len(f)
+    g = f + (window,)
+    mask = 0
+    for a in range(window + 1):
+        for c in range(window + 1):
+            if (g[a] == a and g[c] == c) or (g[a] == c and g[c] == a):
+                mask |= _pair_bit(a, c, window)
+    return mask
 
 
 def criterion_4(seed: int = 1, samples: int | None = None) -> CriterionResult:
@@ -150,9 +161,11 @@ def criterion_4(seed: int = 1, samples: int | None = None) -> CriterionResult:
 
     window = 6
     world = list(permutations(range(window)))
-    by_size: dict[int, list[tuple[int, ...]]] = {s: [] for s in range(window + 1)}
+    # each window permutation with the pairs it fixes, by support size
+    by_size: dict[int, list[tuple[tuple[int, ...], int]]] = \
+        {s: [] for s in range(window + 1)}
     for w in world:
-        by_size[sum(1 for i, v in enumerate(w) if i != v)].append(w)
+        by_size[sum(1 for i, v in enumerate(w) if i != v)].append((w, _fixed_pairs(w)))
 
     ball_checks = 0
     spot = 0
@@ -167,12 +180,13 @@ def criterion_4(seed: int = 1, samples: int | None = None) -> CriterionResult:
                     if not member(expr, g):
                         problems.append(f"ball witness omits g on {spt} n={n}")
                         continue
-                    pairs = [(a, table(a, kk)) for a in spt for kk in range(n + 1)]
+                    pairs = 0
+                    for a in spt:
+                        for kk in range(n + 1):
+                            pairs |= _pair_bit(a, table(a, kk), window)
                     for s in range(n + 1):
-                        for f in by_size[s]:
-                            hit = next(((a, c) for a, c in pairs
-                                        if _pair_fixed(f, a, c)), None)
-                            if hit is None:
+                        for f, fixed in by_size[s]:
+                            if not fixed & pairs:
                                 problems.append(f"ball admits |supt|={s} on {spt} n={n}")
                                 break
                             spot += 1
@@ -189,7 +203,7 @@ def criterion_4(seed: int = 1, samples: int | None = None) -> CriterionResult:
 
     iso_checks = 0
     if not problems:
-        small = list(permutations(range(5)))
+        small = [(f, _fixed_pairs(f)) for f in permutations(range(5))]
         for size in range(0, 5):
             for spt in combinations(range(5), size):
                 for images in permutations(spt):
@@ -197,17 +211,16 @@ def criterion_4(seed: int = 1, samples: int | None = None) -> CriterionResult:
                         continue
                     g = from_mapping(dict(zip(spt, images)))
                     expr, candidates = witness.isolation_witness(g)
-                    pair_list = []
+                    pairs = 0
                     for sub in expr.parts:
                         for factor in sub.parts:
-                            b = factor.b
-                            x, c = sorted(b.moved_points())
-                            pair_list.append((x, c))
+                            x, c = sorted(factor.b.moved_points())
+                            pairs |= _pair_bit(x, c, 5)
                     found = set()
-                    for f in small:
+                    for f, fixed in small:
                         if sum(1 for i, v in enumerate(f) if i != v) > size:
                             continue
-                        if all(not _pair_fixed(f, x, c) for x, c in pair_list):
+                        if not fixed & pairs:
                             found.add(f)
                         iso_checks += 1
                     expected = {tuple(cand.apply(i) for i in range(5))

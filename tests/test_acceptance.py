@@ -4,9 +4,11 @@ Runs every numbered criterion at its stated tolerance and prints one
 status line per criterion in the terminal summary.
 """
 
+from itertools import permutations
+
 import pytest
 
-from permtop.suites import CRITERIA, SUITES, run_suite
+from permtop.suites import CRITERIA, SUITES, _fixed_pairs, _pair_bit, run_suite
 
 
 @pytest.mark.parametrize("number", sorted(CRITERIA))
@@ -16,6 +18,9 @@ def test_criterion(number, request):
     if lines is not None:
         lines.append(result.line())
     assert result.ok, result.line()
+    if number == 4:
+        assert result.detail == \
+            "271470 ball exclusions and 4151 isolation enumerations verified"
     if number == 8:
         assert result.detail == "578570 elements certified, none inconclusive"
 
@@ -23,6 +28,25 @@ def test_criterion(number, request):
 def test_criterion_5_detail():
     assert CRITERIA[5](seed=1).detail == \
         "939 (A, W) pairs exhaustive, two-point case fails as documented"
+
+
+def pair_fixed(f, a, c):
+    """Reference: {a, c} invariant under the window permutation f, points
+    beyond the window fixed."""
+    fa = f[a] if a < len(f) else a
+    fc = f[c] if c < len(f) else c
+    return (fa == a and fc == c) or (fa == c and fc == a)
+
+
+@pytest.mark.parametrize("window", [1, 3, 5])
+def test_fixed_pair_masks_match_pair_check(window):
+    points = range(window + 3)
+    for f in permutations(range(window)):
+        fixed = _fixed_pairs(f)
+        for a in points:
+            for c in points:
+                assert bool(fixed & _pair_bit(a, c, window)) == pair_fixed(f, a, c), \
+                    (f, a, c)
 
 
 def test_suites_cover_every_criterion():

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations, permutations
 from random import Random
 
@@ -6,6 +7,7 @@ import pytest
 from permtop import ResiduePerm, commutes
 from permtop.central import (
     _centralizer,
+    _centralizer_of,
     _centralizer_order,
     _commute,
     centralizer_equals_stabilizer,
@@ -75,6 +77,49 @@ def window_scan_centralizer_equals_stabilizer(points, window):
         if commutes != fixes:
             return False
     return True
+
+
+def subgroup_scan_centralizer_equals_stabilizer(points, window):
+    """Reference: the test over all |A|! permutations of A = points."""
+    pts = set(points)
+    win = set(window)
+    if not pts <= win:
+        raise WindowTooSmall(f"window misses {sorted(pts - win)}")
+    if len(pts) <= 1:
+        return not pts or len(win) == 1
+    ident = tuple(range(len(pts)))
+    pairs = list(combinations(ident, 2))
+    # per g in S(A): "commutes with every transposition" == "is the identity"
+    return all(all({g[i], g[j]} == {i, j} for i, j in pairs) == (g == ident)
+               for g in permutations(ident))
+
+
+@pytest.mark.parametrize("a_size", range(9))
+def test_centralizer_equals_stabilizer_matches_subgroup_scan(a_size):
+    rng = Random(a_size)
+    for extra in (0, 1, 3):
+        pts = rng.sample(range(20), a_size)
+        win = pts + list(range(20, 20 + extra))
+        rng.shuffle(win)
+        got = centralizer_equals_stabilizer(pts, win)
+        assert got == subgroup_scan_centralizer_equals_stabilizer(pts, win), (pts, win)
+        assert got == (a_size != 2 and (a_size != 1 or extra == 0))
+
+
+def test_centralizer_equals_stabilizer_large_point_set():
+    # the |A|! scan would take 12! steps; the centralizer of the two
+    # generators of S(A) takes O(|A|^2)
+    t0 = time.perf_counter()
+    assert centralizer_equals_stabilizer(range(12), range(15))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_centralizer_of_symmetric_group_generators():
+    for k in range(2, 9):
+        ident = tuple(range(k))
+        cycle, swap = ident[1:] + ident[:1], (1, 0) + ident[2:]
+        got = _centralizer_of([swap, cycle], k)
+        assert sorted(got) == ([ident, (1, 0)] if k == 2 else [ident]), k
 
 
 def test_centralizer_equals_stabilizer_matches_window_scan():

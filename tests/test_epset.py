@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import islice
 from random import Random
 
@@ -180,6 +182,20 @@ def test_equality_and_hash():
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
     assert a != EPSet.odds()
+
+
+@pytest.mark.parametrize("value", [
+    EPSet(2, [0]),
+    EPSet.empty(),
+    EPSet.finite([2, 5]),
+    EPSet(6, (1, 4), added=[0, 9], removed=[1, 22]),
+])
+def test_copy_and_pickle_round_trip(value):
+    for twin in (copy.copy(value), copy.deepcopy(value),
+                 pickle.loads(pickle.dumps(value))):
+        assert type(twin) is EPSet
+        assert twin == value and hash(twin) == hash(value)
+        assert (twin.added, twin.removed) == (value.added, value.removed)
 
 
 def test_to_literal():

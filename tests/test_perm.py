@@ -1,3 +1,5 @@
+import copy
+import pickle
 from math import lcm
 
 import pytest
@@ -143,6 +145,41 @@ def test_pow_matches_repeated_products():
         assert f**k == product, k
         assert f**-k == product.inverse(), k
         product = product * f
+
+
+def test_pow_builds_no_throwaway_value(monkeypatch):
+    f = ResiduePerm(2, (1, -1), {0: 0, 1: 1})
+    count = [0]
+    init = ResiduePerm.__init__
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResiduePerm, "__init__", counted)
+    assert f ** 1 is f
+    assert count[0] == 0
+    assert f ** 2 == identity()
+    assert count[0] == 1
+    assert f ** 0 is identity()
+    assert count[0] == 1
+
+
+@pytest.mark.parametrize("value", [
+    transposition(0, 1),
+    ResiduePerm.from_cycles((0, 3, 5), (7, 9)),
+    sigma(),
+    ResiduePerm(4, (2, 0, -2, 0)) * transposition(0, 5),
+])
+def test_copy_and_pickle_round_trip(value):
+    for twin in (copy.copy(value), copy.deepcopy(value),
+                 pickle.loads(pickle.dumps(value))):
+        assert type(twin) is ResiduePerm
+        assert twin == value and hash(twin) == hash(value)
+        assert twin.patch == value.patch
+        assert [twin.apply(x) for x in range(30)] == [value.apply(x) for x in range(30)]
+    held = {"ball": [value, (value, identity())]}
+    assert copy.deepcopy(held) == held
 
 
 def test_support(rng):
