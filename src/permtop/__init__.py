@@ -21,8 +21,7 @@ from .witness import (EscapeInstance, InjectiveTable, closed_ball_witness,
                       escape_witness, isolation_witness, point_support_witness,
                       stabilizer_closed_witness, t1_separator)
 from .central import (centralizer_equals_stabilizer, centralizer_not_open_witness,
-                      double_centralizer_window, in_centralizer,
-                      in_subgroup_centralizer)
+                      double_centralizer_window)
 from .selfnorm import (FreeWord, Inconclusive, InSubgroup, MovesOut, SDElement,
                        ThinSet, certify_self_normalizing, in_free_factor,
                        sd_conj, thin_check, word_element)

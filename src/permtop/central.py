@@ -1,8 +1,7 @@
-"""Centralizer predicates and finite-window double centralizers.
+"""Finite-window double centralizers and centralizer witnesses.
 
-Centralizers inside the full infinite group are only ever exposed as
-membership predicates. Double centralizers are computed exactly inside
-the symmetric group S(W) of a finite window W, from two facts:
+Double centralizers are computed exactly inside the symmetric group S(W)
+of a finite window W, from two facts:
 
 1. With M the points F moves and R = W - M, anything commuting with F
    preserves Fix(F) = R, so c(F) = C_S(M)(F) x S(R).
@@ -19,34 +18,12 @@ transposition and the |A|-cycle, is trivial, which holds once |A| >= 3.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BadCardinality, FiniteSupport, InfiniteSupport, WindowTooSmall
-from .perm import ResiduePerm, commutes, from_mapping, transposition
-
-
-def in_centralizer(f: ResiduePerm, perms: Iterable[ResiduePerm]) -> bool:
-    """True iff f commutes with every listed permutation."""
-    return all(commutes(f, h) for h in perms)
-
-
-def in_subgroup_centralizer(f: ResiduePerm, points: Iterable[int]) -> bool:
-    """True iff f commutes with every permutation supported in `points`.
-
-    Transpositions generate the finite symmetric group on the set, and
-    f t(a,b) f^-1 = t(f(a), f(b)), so each generator check is a set
-    comparison.
-    """
-    pts = sorted(set(points))
-    if len(pts) < 2:
-        raise BadCardinality(len(pts), 2)
-    for a, b in combinations(pts, 2):
-        fa, fb = f.apply(a), f.apply(b)
-        if {fa, fb} != {a, b}:
-            return False
-    return True
+from .errors import FiniteSupport, InfiniteSupport, WindowTooSmall
+from .perm import ResiduePerm, from_mapping, transposition
 
 
 def centralizer_equals_stabilizer(points: Iterable[int], window: Iterable[int]) -> bool:

@@ -1,5 +1,6 @@
 """Command-line front end: parse literals, run one verification command,
-emit a deterministic report.
+emit a deterministic report. A certificate command checks its witness
+with the certificate check in `suites` that the acceptance criteria use.
 
 Exit codes: 0 when every check in the report passed, 1 when a check
 failed (the report carries the counterexample), 2 for usage, parse, or
@@ -16,12 +17,10 @@ from . import central, literals, suites, tbeta, witness
 from .errors import PermtopError
 from .oracle import SubbaseSpec, build_group, compare, generate_subbase, \
     min_neighborhoods, topology_props
-from .perm import commutes, identity, image
+from .perm import identity
 from .report import Report
-from .selfnorm import InSubgroup, Inconclusive, MovesOut, certify_self_normalizing, \
-    generator, in_free_factor, sd_conj, word_element
-from .subbase import ConjNeq, member
-from .witness import EscapeInstance
+from .selfnorm import MovesOut, certify_self_normalizing
+from .subbase import member
 
 
 def _int_list(text: str) -> list[int]:
@@ -157,8 +156,7 @@ def _run_witness(args, rep: Report) -> None:
         g = literals.parse_perm(args.g)
         expr = witness.t1_separator(f, g)
         rep.witness(literals.expr_to_literal(expr))
-        rep.check("contains g", member(expr, g))
-        rep.check("excludes f", not member(expr, f))
+        rep.extend(suites.check_separator(f, g, expr))
     elif args.shape == "escape":
         rep.params.update(anchor=str(args.anchor),
                           **{f"pair_{i + 1}": p for i, p in enumerate(args.pair)})
@@ -168,12 +166,10 @@ def _run_witness(args, rep: Report) -> None:
             if not bar:
                 raise PermtopError(f"pair needs 'F | G', got {text!r}")
             pairs.append((literals.parse_perm(left), literals.parse_perm(right)))
-        inst = EscapeInstance(tuple(pairs), args.anchor)
+        inst = witness.EscapeInstance(tuple(pairs), args.anchor)
         u = witness.escape_witness(inst)
         rep.witness(u.to_literal())
-        rep.check("moves the anchor", u.apply(inst.anchor) != inst.anchor)
-        for i, (f, g) in enumerate(inst.pairs, start=1):
-            rep.check(f"constraint {i} escaped", member(ConjNeq(a=g, b=f), u))
+        rep.extend(suites.check_escape(inst, u))
     elif args.shape == "closed-ball":
         rep.params.update(g=args.g, n=str(args.n))
         g = literals.parse_perm(args.g)
@@ -198,9 +194,7 @@ def _run_witness(args, rep: Report) -> None:
         avoid = _int_list(args.avoid)
         t = central.centralizer_not_open_witness(g, avoid)
         rep.witness(t.to_literal())
-        rep.check("avoids the point set",
-                  not set(t.moved_points()) & set(avoid))
-        rep.check("breaks commutation", not commutes(t, g))
+        rep.extend(suites.check_cent_open(g, avoid, t))
 
 
 def _run_selfnorm(args, rep: Report) -> None:
@@ -209,20 +203,9 @@ def _run_selfnorm(args, rep: Report) -> None:
     a = literals.parse_thin_set(args.thin)
     h = literals.parse_sd_element(args.element)
     verdict = certify_self_normalizing(h, a, args.depth)
-    if isinstance(verdict, InSubgroup):
-        rep.check("inside the free factor", True,
-                  "zero shift and every letter in the set")
-    elif isinstance(verdict, MovesOut):
+    if isinstance(verdict, MovesOut):
         rep.witness(verdict.conjugate.to_literal())
-        conj = sd_conj(h, word_element(generator(verdict.witness)))
-        rep.check("conjugate recomputed", conj == verdict.conjugate,
-                  f"generator {verdict.witness}")
-        rep.check("conjugate leaves the factor",
-                  conj.shift != 0 or not in_free_factor(conj.word, a))
-    else:
-        assert isinstance(verdict, Inconclusive)
-        rep.check("certificate found", False,
-                  f"no witness among the first {len(verdict.tried)} generators")
+    rep.extend(suites.check_self_normalizing(h, a, verdict))
 
 
 def _run_tbeta(args, rep: Report) -> None:
@@ -231,17 +214,13 @@ def _run_tbeta(args, rep: Report) -> None:
         f = literals.parse_perm(args.f)
         u = tbeta.disjoint_mover_set(f)
         rep.witness(u.to_literal())
-        img = image(f, u)
-        rep.check("image disjoint from the set", (img & u).is_empty())
-        rep.check("pointwise disjoint on [0,1000)",
-                  all(f.apply(x) not in u for x in u.list_below(1000)))
+        rep.extend(suites.check_mover_set(f, u))
     elif args.shape == "nowhere-dense":
         rep.params.update(partition=args.partition)
         part = literals.parse_partition(args.partition)
         h = tbeta.infinite_support_stabilizer(part)
         rep.witness(h.to_literal())
-        rep.check("infinite support", not h.has_finite_support())
-        rep.check("stabilizes every piece", tbeta.stabilizes(h, part))
+        rep.extend(suites.check_partition_stabilizer(part, h))
     else:  # alpha-check
         rep.params.update(points=args.points)
         pts = _int_list(args.points)

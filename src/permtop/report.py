@@ -37,6 +37,10 @@ class Report:
         self.verdicts.append(Check(name, bool(ok), detail))
         return bool(ok)
 
+    def extend(self, checks: list[tuple[str, bool, str]]) -> None:
+        for name, ok, detail in checks:
+            self.check(name, ok, detail)
+
     def witness(self, literal: str) -> None:
         self.witnesses.append(literal)
 

@@ -1,11 +1,12 @@
-"""The ten verification suites behind `permtop verify` and the acceptance
-tests.
+"""The certificate checks and the ten verification suites behind the
+certificate commands, `permtop verify` and the acceptance tests.
 
-Each criterion function runs one self-contained battery and reports a
-single pass/fail with a deterministic detail string (timing lives in
-elapsed_s, never in the detail, so reports stay byte-identical for a
-fixed seed). Criteria with a stated runtime budget fail when they blow
-it.
+A certificate check returns named `(name, ok, detail)` checks from a
+construction's inputs and output, using checking primitives only. Each
+criterion reports a single pass/fail with a deterministic detail string
+(timing lives in elapsed_s, never in the detail, so reports stay
+byte-identical for a fixed seed). Criteria with a stated runtime budget
+fail when they blow it.
 """
 
 from __future__ import annotations
@@ -14,18 +15,21 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from random import Random
+from typing import Callable, Iterable, Iterator
 
 from . import central, tbeta, witness
 from .epset import EPSet
 from .oracle import FiniteGroup, SubbaseSpec, compare, generate_subbase, \
     min_neighborhoods, topology_props
-from .perm import commutes, conjugate, from_mapping, identity, image, sigma, support
+from .perm import ResiduePerm, commutes, conjugate, from_mapping, identity, image, \
+    sigma, support
 from .sampling import random_finite_perm, random_involution, random_partition, \
     random_perm_mixed, random_residue_perm, random_sigma_type
-from .selfnorm import FreeWord, InSubgroup, Inconclusive, MovesOut, SDElement, \
-    ThinSet, certify_self_normalizing, generator, in_free_factor, sd_conj, word_element
-from .subbase import ConjNeq, member
-from .witness import EscapeInstance
+from .selfnorm import FreeWord, InSubgroup, MovesOut, SDElement, ThinSet, Verdict, \
+    certify_self_normalizing, generator, in_free_factor, sd_conj, word_element
+from .subbase import ConjNeq, OpenSetExpr, member
+
+Checks = list[tuple[str, bool, str]]
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,77 @@ class CriterionResult:
 def _result(number: int, title: str, started: float, ok: bool,
             detail: str) -> CriterionResult:
     return CriterionResult(number, title, ok, detail, time.perf_counter() - started)
+
+
+def _sampled(number: int, title: str, started: float, detail: str,
+             *stages: tuple[Iterable[tuple], Callable[..., Checks]],
+             enough: bool = True) -> CriterionResult:
+    """Run each stage's check on each of its items, as `check(*item)`. `detail`
+    may name the counts of `{items}` and of `{bad}` items with a failed check;
+    the criterion passes when no item fails and `enough` holds."""
+    items = bad = 0
+    first = ""
+    for source, check in stages:
+        for item in source:
+            items += 1
+            for name, ok, _ in check(*item):
+                if not ok:
+                    bad += 1
+                    first = first or f"; first failure: {name} on item {items}"
+                    break
+    return _result(number, title, started, bad == 0 and enough,
+                   detail.format(items=items, bad=bad) + first)
+
+
+# -- certificate checks ------------------------------------------------------------
+
+def check_separator(f: ResiduePerm, g: ResiduePerm, expr: OpenSetExpr) -> Checks:
+    """An open set around g that misses f."""
+    return [("contains g", member(expr, g), ""),
+            ("excludes f", not member(expr, f), "")]
+
+
+def check_escape(inst: witness.EscapeInstance, u: ResiduePerm) -> Checks:
+    """Finitely supported u moving the anchor, with u f_i u^-1 != g_i f_i g_i^-1."""
+    return [("finitely supported", u.has_finite_support(), ""),
+            ("moves the anchor", u.apply(inst.anchor) != inst.anchor, "")] + \
+        [(f"constraint {i} escaped", member(ConjNeq(a=g, b=f), u), "")
+         for i, (f, g) in enumerate(inst.pairs, start=1)]
+
+
+def check_cent_open(g: ResiduePerm, avoid: Iterable[int], t: ResiduePerm) -> Checks:
+    """A t fixing every point of `avoid` that does not commute with g."""
+    return [("avoids the point set", not set(t.moved_points()) & set(avoid), ""),
+            ("breaks commutation", not commutes(t, g), "")]
+
+
+def check_self_normalizing(h: SDElement, a: ThinSet, verdict: Verdict) -> Checks:
+    """h in F_A, or a generator k in A with h z_k h^-1 outside F_A."""
+    if isinstance(verdict, InSubgroup):
+        return [("inside the free factor", h.shift == 0 and in_free_factor(h.word, a),
+                 "zero shift and every letter in the set")]
+    if isinstance(verdict, MovesOut):
+        k = verdict.witness
+        conj = sd_conj(h, word_element(generator(k)))
+        return [("generator in the set", k in a, ""),
+                ("conjugate recomputed", conj == verdict.conjugate, f"generator {k}"),
+                ("conjugate leaves the factor",
+                 conj.shift != 0 or not in_free_factor(conj.word, a), "")]
+    return [("certificate found", False,
+             f"no witness among the first {len(verdict.tried)} generators")]
+
+
+def check_mover_set(f: ResiduePerm, u: EPSet) -> Checks:
+    """A set u that f moves wholly off itself."""
+    return [("image disjoint from the set", (image(f, u) & u).is_empty(), ""),
+            ("pointwise disjoint on [0,1000)",
+             all(f.apply(x) not in u for x in u.list_below(1000)), "")]
+
+
+def check_partition_stabilizer(part: tbeta.Partition, h: ResiduePerm) -> Checks:
+    """An infinite-support h mapping every piece of the partition onto itself."""
+    return [("infinite support", not h.has_finite_support(), ""),
+            ("stabilizes every piece", tbeta.stabilizes(h, part), "")]
 
 
 # -- 1: finite symmetric groups -------------------------------------------------
@@ -78,38 +153,31 @@ def criterion_1(seed: int = 1, samples: int | None = None) -> CriterionResult:
 
 # -- 2: separating distinct permutations ----------------------------------------
 
-def criterion_2(seed: int = 1, samples: int | None = None) -> CriterionResult:
-    title = "separating open set around each of two distinct permutations"
-    t0 = time.perf_counter()
-    count = samples or 1000
-    rng = Random(seed)
-    bad = 0
+def _distinct_pairs(rng: Random, count: int) -> Iterator[tuple[ResiduePerm, ResiduePerm]]:
     for _ in range(count):
         f = random_finite_perm(rng, 50)
         g = random_finite_perm(rng, 50)
         while g == f:
             g = random_finite_perm(rng, 50)
-        expr = witness.t1_separator(f, g)
-        if not member(expr, g) or member(expr, f):
-            bad += 1
-    return _result(2, title, t0, bad == 0,
-                   f"{count} random pairs, {bad} separation failures")
+        yield f, g
+
+
+def criterion_2(seed: int = 1, samples: int | None = None) -> CriterionResult:
+    title = "separating open set around each of two distinct permutations"
+    t0 = time.perf_counter()
+    pairs = _distinct_pairs(Random(seed), samples or 1000)
+    return _sampled(2, title, t0, "{items} random pairs, {bad} separation failures",
+                    (((f, g, witness.t1_separator(f, g)) for f, g in pairs),
+                     check_separator))
 
 
 # -- 3: escaping finitely many conjugation constraints ---------------------------
 
-def criterion_3(seed: int = 1, samples: int | None = None) -> CriterionResult:
-    title = "finitely supported escape from conjugation constraints"
-    t0 = time.perf_counter()
-    count = samples or 100
-    rng = Random(seed)
-    bad = 0
-    with_infinite = 0
+def _escape_instances(rng: Random, count: int) -> Iterator[witness.EscapeInstance]:
     for i in range(count):
-        n_pairs = rng.randint(1, 4)
         pairs = []
         force_sigma = i % 5 == 0
-        for j in range(n_pairs):
+        for j in range(rng.randint(1, 4)):
             if force_sigma and j == 0:
                 f = random_sigma_type(rng, 12)
             else:
@@ -117,20 +185,21 @@ def criterion_3(seed: int = 1, samples: int | None = None) -> CriterionResult:
             g = random_residue_perm(rng) if rng.random() < 0.2 \
                 else random_finite_perm(rng, 30)
             pairs.append((f, g))
-        anchor = rng.randrange(40)
-        inst = EscapeInstance(tuple(pairs), anchor)
-        if inst.k >= 1:
-            with_infinite += 1
-        u = witness.escape_witness(inst)
-        good = (u.has_finite_support()
-                and u.apply(anchor) != anchor
-                and all(member(ConjNeq(a=g, b=f), u) for f, g in inst.pairs))
-        if not good:
-            bad += 1
-    ok = bad == 0 and with_infinite >= min(20, count // 5)
-    return _result(3, title, t0, ok,
-                   f"{count} instances ({with_infinite} with an infinite-support "
-                   f"constraint), {bad} failures")
+        yield witness.EscapeInstance(tuple(pairs), rng.randrange(40))
+
+
+def criterion_3(seed: int = 1, samples: int | None = None) -> CriterionResult:
+    title = "finitely supported escape from conjugation constraints"
+    t0 = time.perf_counter()
+    count = samples or 100
+    instances = list(_escape_instances(Random(seed), count))
+    with_infinite = sum(1 for inst in instances if inst.k >= 1)
+    return _sampled(3, title, t0,
+                    f"{{items}} instances ({with_infinite} with an infinite-support "
+                    f"constraint), {{bad}} failures",
+                    (((inst, witness.escape_witness(inst)) for inst in instances),
+                     check_escape),
+                    enough=with_infinite >= min(20, count // 5))
 
 
 # -- 4: closed balls and isolation ------------------------------------------------
@@ -261,25 +330,27 @@ def criterion_5(seed: int = 1, samples: int | None = None) -> CriterionResult:
 
 # -- 6: double centralizer stability across windows ------------------------------
 
+def _check_window_stability(perms: list[ResiduePerm],
+                            results: list[frozenset[ResiduePerm]]) -> Checks:
+    """Double centralizers of a family on {0..3}: equal over all windows, on {0..3}."""
+    inside = EPSet.finite(range(4))
+    return [("same over every window", all(r == results[0] for r in results), ""),
+            ("supported on {0..3}",
+             all(support(h).issubset(inside) for h in results[0]), "")]
+
+
 def criterion_6(seed: int = 1, samples: int | None = None) -> CriterionResult:
     title = "windowed double centralizer independent of the window"
     t0 = time.perf_counter()
-    count = samples or 50
     rng = Random(seed)
-    inside = EPSet.finite(range(4))
-    bad = 0
-    for _ in range(count):
-        perms = [random_finite_perm(rng, 4) for _ in range(rng.randint(1, 3))]
-        results = [frozenset(central.double_centralizer_window(perms, range(w)))
-                   for w in (7, 8, 9)]
-        if results[0] != results[1] or results[1] != results[2]:
-            bad += 1
-            continue
-        if not all(support(h).issubset(inside) for h in results[0]):
-            bad += 1
-    return _result(6, title, t0, bad == 0,
-                   f"{count} random families stable over three windows, "
-                   f"{bad} failures")
+    families = ([random_finite_perm(rng, 4) for _ in range(rng.randint(1, 3))]
+                for _ in range(samples or 50))
+    items = ((perms, [frozenset(central.double_centralizer_window(perms, range(w)))
+                      for w in (7, 8, 9)])
+             for perms in families)
+    return _sampled(6, title, t0,
+                    "{items} random families stable over three windows, {bad} failures",
+                    (items, _check_window_stability))
 
 
 # -- 7: centralizers are not neighborhoods of finite-set stabilizers -------------
@@ -288,18 +359,13 @@ def criterion_7(seed: int = 1, samples: int | None = None) -> CriterionResult:
     title = "noncommuting transposition avoiding any small point set"
     t0 = time.perf_counter()
     rng = Random(seed)
-    count = samples or 20
-    gs = [sigma()] + [random_sigma_type(rng, 10) for _ in range(count)]
+    gs = [sigma()] + [random_sigma_type(rng, 10) for _ in range(samples or 20)]
     sets = [pts for k in range(5) for pts in combinations(range(10), k)]
-    bad = 0
-    for g in gs:
-        for pts in sets:
-            t = central.centralizer_not_open_witness(g, pts)
-            if set(t.moved_points()) & set(pts) or commutes(t, g):
-                bad += 1
-    return _result(7, title, t0, bad == 0,
-                   f"{len(gs)} permutations x {len(sets)} point sets, "
-                   f"{bad} failures")
+    items = ((g, pts, central.centralizer_not_open_witness(g, pts))
+             for g in gs for pts in sets)
+    return _sampled(7, title, t0,
+                    f"{len(gs)} permutations x {len(sets)} point sets, {{bad}} failures",
+                    (items, check_cent_open))
 
 
 # -- 8: self-normalization certificates ------------------------------------------
@@ -321,42 +387,29 @@ def _reduced_words(gens: list[int], max_len: int):
         frontier = grown
 
 
+def _thin_set_elements() -> Iterator[tuple[SDElement, ThinSet]]:
+    """(w ; n), |n| <= 2, w reduced on at most four of A's letters < 17 and 3, 5, 6."""
+    for a in (ThinSet.powers_of_two(), ThinSet.squares()):
+        gens = sorted({k for k in range(17) if k in a} | {3, 5, 6})
+        for raw in _reduced_words(gens, 4):
+            word = FreeWord.from_raw(raw)
+            for n in (-2, -1, 0, 1, 2):
+                yield SDElement(word, n), a
+
+
 def criterion_8(seed: int = 1, samples: int | None = None) -> CriterionResult:
     title = "free-factor membership and escape certificates over thin sets"
     t0 = time.perf_counter()
     problems: list[str] = []
     total = 0
-    inconclusive = 0
-    for a in (ThinSet.powers_of_two(), ThinSet.squares()):
-        gens = sorted({k for k in range(17) if k in a} | {3, 5, 6})
-        for raw in _reduced_words(gens, 4):
-            word = FreeWord.from_raw(raw)
-            all_in = in_free_factor(word, a)
-            for n in (-2, -1, 0, 1, 2):
-                total += 1
-                h = SDElement(word, n)
-                verdict = certify_self_normalizing(h, a)
-                if n == 0 and all_in:
-                    if not isinstance(verdict, InSubgroup):
-                        problems.append(f"missed membership: {h.to_literal()}")
-                elif isinstance(verdict, MovesOut):
-                    conj = sd_conj(h, word_element(generator(verdict.witness)))
-                    if conj != verdict.conjugate:
-                        problems.append(f"stale witness: {h.to_literal()}")
-                    elif conj.shift == 0 and in_free_factor(conj.word, a):
-                        problems.append(f"witness stays inside: {h.to_literal()}")
-                elif isinstance(verdict, Inconclusive):
-                    inconclusive += 1
-                else:
-                    problems.append(f"wrong verdict: {h.to_literal()}")
-                if problems:
-                    break
-            if problems:
+    for h, a in _thin_set_elements():
+        total += 1
+        for name, ok, _ in check_self_normalizing(h, a, certify_self_normalizing(h, a)):
+            if not ok:
+                problems.append(f"{name} fails on {h.to_literal()}")
                 break
         if problems:
             break
-    if inconclusive:
-        problems.append(f"{inconclusive} inconclusive")
     took = time.perf_counter() - t0
     if took > 30.0:
         problems.append("over 30s budget")
@@ -373,67 +426,53 @@ def criterion_9(seed: int = 1, samples: int | None = None) -> CriterionResult:
     t0 = time.perf_counter()
     rng = Random(seed)
     count = samples or 10
-    problems: list[str] = []
     movers = [sigma()] + [random_residue_perm(rng, infinite=True)
                           for _ in range(count)]
-    for f in movers:
-        u = tbeta.disjoint_mover_set(f)
-        if not (image(f, u) & u).is_empty():
-            problems.append(f"algebraic overlap for {f.to_literal()}")
-            continue
-        for x in range(1000):
-            if x in u and f.apply(x) in u:
-                problems.append(f"pointwise overlap at {x}")
-                break
-    for _ in range(count):
-        part = random_partition(rng)
-        h = tbeta.infinite_support_stabilizer(part)
-        if h.has_finite_support():
-            problems.append("stabilizer with finite support")
-        elif not tbeta.stabilizes(h, part):
-            problems.append("stabilizer moves a piece")
-    ok = not problems
-    return _result(9, title, t0, ok,
-                   f"{len(movers)} mover sets exact on [0,1000), {count} "
-                   f"partitions stabilized" if ok else "; ".join(problems[:3]))
+    parts = [random_partition(rng) for _ in range(count)]
+    return _sampled(9, title, t0,
+                    f"{len(movers)} mover sets exact on [0,1000), {count} "
+                    f"partitions stabilized",
+                    (((f, tbeta.disjoint_mover_set(f)) for f in movers), check_mover_set),
+                    (((p, tbeta.infinite_support_stabilizer(p)) for p in parts),
+                     check_partition_stabilizer))
 
 
 # -- 10: algebraic law battery -----------------------------------------------------
+
+def _law_samples(rng: Random, count: int) -> Iterator[tuple]:
+    """Sample i tests law i % 6 and draws only the values that law needs."""
+    for i in range(count):
+        law = i % 6
+        f = random_perm_mixed(rng, 16)
+        g = random_perm_mixed(rng, 16) if law != 1 else None
+        h = random_perm_mixed(rng, 16) if law == 0 else None
+        x = rng.randrange(40) if law == 2 else None
+        yield law, f, g, h, x
+
+
+_LAWS = (
+    lambda f, g, h, x: (f * g) * h == f * (g * h),
+    lambda f, g, h, x: (f * f.inverse()).is_identity() and (f * identity() == f),
+    lambda f, g, h, x: ((f * g).apply(x) == f.apply(g.apply(x))
+                        and f.apply_inverse(f.apply(x)) == x),
+    lambda f, g, h, x: (support(f * g).issubset(support(f) | support(g))
+                        and support(f.inverse()) == support(f)),
+    lambda f, g, h, x: support(conjugate(g, f)) == image(g, support(f)),
+    lambda f, g, h, x: (commutes(f, g) == (f * g == g * f)
+                        and f.is_involution() == (f.inverse() == f)),
+)
+
+
+def _check_law(law: int, *values) -> Checks:
+    return [(f"law {law}", _LAWS[law](*values), "")]
+
 
 def criterion_10(seed: int = 1, samples: int | None = None) -> CriterionResult:
     title = "group and support laws on mixed random permutations"
     t0 = time.perf_counter()
     count = samples or 10000
-    rng = Random(seed)
-    bad = 0
-    for i in range(count):
-        law = i % 6
-        f = random_perm_mixed(rng, 16)
-        if law == 0:
-            g = random_perm_mixed(rng, 16)
-            h = random_perm_mixed(rng, 16)
-            ok = (f * g) * h == f * (g * h)
-        elif law == 1:
-            ok = (f * f.inverse()).is_identity() and (f * identity() == f)
-        elif law == 2:
-            g = random_perm_mixed(rng, 16)
-            x = rng.randrange(40)
-            ok = ((f * g).apply(x) == f.apply(g.apply(x))
-                  and f.apply_inverse(f.apply(x)) == x)
-        elif law == 3:
-            g = random_perm_mixed(rng, 16)
-            ok = support(f * g).issubset(support(f) | support(g)) \
-                and support(f.inverse()) == support(f)
-        elif law == 4:
-            g = random_perm_mixed(rng, 16)
-            ok = support(conjugate(g, f)) == image(g, support(f))
-        else:
-            g = random_perm_mixed(rng, 16)
-            ok = commutes(f, g) == (f * g == g * f) \
-                and f.is_involution() == (f.inverse() == f)
-        if not ok:
-            bad += 1
-    return _result(10, title, t0, bad == 0, f"{count} samples, {bad} law failures")
+    return _sampled(10, title, t0, "{items} samples, {bad} law failures",
+                    (_law_samples(Random(seed), count), _check_law))
 
 
 # -- runner ------------------------------------------------------------------------

@@ -8,7 +8,9 @@ from itertools import permutations
 
 import pytest
 
-from permtop.suites import CRITERIA, SUITES, _fixed_pairs, _pair_bit, run_suite
+from permtop import witness
+from permtop.suites import CRITERIA, SUITES, _fixed_pairs, _pair_bit, criterion_2, \
+    run_suite
 
 
 @pytest.mark.parametrize("number", sorted(CRITERIA))
@@ -28,6 +30,16 @@ def test_criterion(number, request):
 def test_criterion_5_detail():
     assert CRITERIA[5](seed=1).detail == \
         "939 (A, W) pairs exhaustive, two-point case fails as documented"
+
+
+def test_sampled_criterion_counts_failures_and_names_the_first(monkeypatch):
+    # a separator built for the swapped pair contains f and misses g
+    separate = witness.t1_separator
+    monkeypatch.setattr(witness, "t1_separator", lambda f, g: separate(g, f))
+    result = criterion_2(samples=5)
+    assert not result.ok
+    assert result.detail == \
+        "5 random pairs, 5 separation failures; first failure: contains g on item 1"
 
 
 def pair_fixed(f, a, c):

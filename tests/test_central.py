@@ -13,34 +13,14 @@ from permtop.central import (
     centralizer_equals_stabilizer,
     centralizer_not_open_witness,
     double_centralizer_window,
-    in_centralizer,
-    in_subgroup_centralizer,
 )
 from permtop.errors import (
-    BadCardinality,
     FiniteSupport,
     InfiniteSupport,
     WindowTooSmall,
 )
 from permtop.perm import from_cycles, from_mapping, identity, sigma, transposition
 from permtop.sampling import random_finite_perm
-
-
-def test_in_centralizer():
-    t01 = transposition(0, 1)
-    assert in_centralizer(identity(), [t01, sigma()])
-    assert in_centralizer(sigma(), [t01])
-    assert not in_centralizer(transposition(0, 2), [t01])
-    assert in_centralizer(transposition(5, 6), [t01])
-
-
-def test_in_subgroup_centralizer():
-    assert in_subgroup_centralizer(transposition(5, 6), (0, 1, 2))
-    assert not in_subgroup_centralizer(transposition(0, 5), (0, 1, 2))
-    assert not in_subgroup_centralizer(sigma(), (0, 1, 2))
-    assert in_subgroup_centralizer(identity(), (0, 1))
-    with pytest.raises(BadCardinality):
-        in_subgroup_centralizer(identity(), (0,))
 
 
 def test_centralizer_equals_stabilizer():

@@ -10,6 +10,7 @@ import permtop
 from permtop import ResiduePerm, cli, suites, witness
 from permtop.errors import WitnessError
 from permtop.report import Check, Report
+from permtop.selfnorm import generator
 
 
 def run(capsys, *argv):
@@ -320,6 +321,126 @@ def test_tbeta_commands(capsys):
     code, _, err = run(capsys, "tbeta", "closed", "--f", "(0 1)")
     assert code == 2
     assert "error:" in err
+
+
+CERTIFICATE_REPORTS = [
+    (("witness", "escape", "--pair", "(0 1) | id", "--anchor", "5"), """\
+command: witness escape
+param anchor = 5
+param pair_1 = (0 1) | id
+check finitely supported: PASS
+check moves the anchor: PASS
+check constraint 1 escaped: PASS
+witness: (0 2)(1 3)(4 5)
+overall: PASS
+"""),
+    (("witness", "separate", "--f", "(0 1)", "--g", "(0 2)"), """\
+command: witness separate
+param f = (0 1)
+param g = (0 2)
+check contains g: PASS
+check excludes f: PASS
+witness: conjneq((0 1); (0 1))
+overall: PASS
+"""),
+    (("witness", "cent-open", "--g", "sigma", "--avoid", "{0,1}"), """\
+command: witness cent-open
+param avoid = {0,1}
+param g = sigma
+check avoids the point set: PASS
+check breaks commutation: PASS
+witness: (2 4)
+overall: PASS
+"""),
+    (("selfnorm", "certify", "--set", "pow2", "--element", "( z3 ; 0 )"), """\
+command: selfnorm certify
+param depth = 10
+param element = ( z3 ; 0 )
+param set = pow2
+check generator in the set: PASS
+check conjugate recomputed: PASS  (generator 1)
+check conjugate leaves the factor: PASS
+witness: ( z3 * z1 * z3^-1 ; 0 )
+overall: PASS
+"""),
+    (("selfnorm", "certify", "--set", "pow2", "--element", "( z1 * z2 ; 0 )"), """\
+command: selfnorm certify
+param depth = 10
+param element = ( z1 * z2 ; 0 )
+param set = pow2
+check inside the free factor: PASS  (zero shift and every letter in the set)
+overall: PASS
+"""),
+    (("tbeta", "closed", "--f", "sigma"), """\
+command: tbeta closed
+param f = sigma
+check image disjoint from the set: PASS
+check pointwise disjoint on [0,1000): PASS
+witness: ep[2; 0]
+overall: PASS
+"""),
+    (("tbeta", "nowhere-dense", "--partition", "part[2; ep[2; 0]; ep[2; 1]]"), """\
+command: tbeta nowhere-dense
+param partition = part[2; ep[2; 0]; ep[2; 1]]
+check infinite support: PASS
+check stabilizes every piece: PASS
+witness: res[4; 2,0,-2,0]
+overall: PASS
+"""),
+]
+
+
+@pytest.mark.parametrize("argv,report", CERTIFICATE_REPORTS,
+                         ids=[" ".join(argv[:2]) + f" {i}" for i, (argv, _)
+                              in enumerate(CERTIFICATE_REPORTS)])
+def test_certificate_report_is_pinned(capsys, argv, report):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == report
+
+
+def test_escape_rejects_an_infinite_support_witness(capsys, monkeypatch):
+    # sigma * (1 2) moves the anchor and escapes the constraint, but its
+    # support is infinite
+    monkeypatch.setattr(witness, "escape_witness",
+                        lambda inst: permtop.sigma() * permtop.transposition(1, 2))
+    code, out, _ = run(capsys, "witness", "escape", "--pair", "(0 1) | id",
+                       "--anchor", "5")
+    assert code == 1
+    assert "check finitely supported: FAIL" in out
+    assert "check moves the anchor: PASS" in out
+    assert "witness: res[2; 1,-1; patch: 1->3, 2->0]" in out
+
+
+def test_selfnorm_rejects_a_false_membership_verdict(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "certify_self_normalizing",
+                        lambda h, a, depth: permtop.InSubgroup())
+    code, out, _ = run(capsys, "selfnorm", "certify", "--set", "pow2",
+                       "--element", "( z3 ; 1 )")
+    assert code == 1
+    assert "check inside the free factor: FAIL" in out
+
+
+def moves_out_by_z3(h, a, depth=10):
+    # a witness generator outside pow2: its conjugate leaves F_A whatever h is
+    return permtop.MovesOut(3, permtop.sd_conj(h, permtop.word_element(generator(3))))
+
+
+def test_selfnorm_rejects_a_witness_generator_outside_the_set(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "certify_self_normalizing", moves_out_by_z3)
+    code, out, _ = run(capsys, "selfnorm", "certify", "--set", "pow2",
+                       "--element", "( z1 ; 0 )")
+    assert code == 1
+    assert "check generator in the set: FAIL" in out
+    assert "check conjugate recomputed: PASS  (generator 3)" in out
+    assert "check conjugate leaves the factor: PASS" in out
+
+
+def test_criterion_8_rejects_a_witness_generator_outside_the_set(monkeypatch):
+    monkeypatch.setattr(suites, "certify_self_normalizing", moves_out_by_z3)
+    result = suites.criterion_8()
+    assert not result.ok
+    assert result.detail.startswith("generator in the set fails on ")
 
 
 def test_verify_suite(capsys):
