@@ -15,7 +15,7 @@ import time
 
 from . import central, literals, suites, tbeta, witness
 from .errors import PermtopError
-from .oracle import SubbaseSpec, build_group, compare, generate_subbase, \
+from .oracle import KINDS, SubbaseSpec, build_group, compare, generate_subbase, \
     min_neighborhoods, topology_props
 from .perm import identity
 from .report import Report
@@ -50,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--group", required=True,
                         help="sn:N for the symmetric group of degree N <= 6, "
                              "or table:FILE")
-    oracle.add_argument("--subbases", default="tp,zpp,zp,zariski,cent",
-                        help="comma list from tp,zpp,zp,zariski,cent")
+    oracle.add_argument("--subbases", default=",".join(KINDS),
+                        help="comma list from " + ",".join(KINDS))
     oracle.add_argument("--max-word-len", type=int, default=2,
                         help="word length bound for the zariski family")
 

@@ -177,13 +177,17 @@ def build_group(source: str) -> FiniteGroup:
     return FiniteGroup.from_table_file(src)
 
 
+# the sub-base families, in the order the reports list them
+KINDS = ("tp", "zpp", "zp", "zariski", "cent")
+
+
 @dataclass(frozen=True)
 class SubbaseSpec:
-    kind: str  # tp | zpp | zp | zariski | cent
+    kind: str  # one of KINDS
     max_word_len: int = 2
 
     def __post_init__(self):
-        if self.kind not in ("tp", "zpp", "zp", "zariski", "cent"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown sub-base kind {self.kind!r}")
         if self.kind == "zariski" and self.max_word_len < 1:
             raise ValueError("word length bound must be at least 1")

@@ -3,10 +3,10 @@ certificate commands, `permtop verify` and the acceptance tests.
 
 A certificate check returns named `(name, ok, detail)` checks from a
 construction's inputs and output, using checking primitives only. Each
-criterion reports a single pass/fail with a deterministic detail string
-(timing lives in elapsed_s, never in the detail, so reports stay
-byte-identical for a fixed seed). Criteria with a stated runtime budget
-fail when they blow it.
+criterion is a source of items and a check of one item, decided by the one
+runner `_run` with a deterministic detail (timing lives only in elapsed_s).
+The runner fails criterion 5 past 10 s and criterion 8 past 30 s; criterion
+1's check holds S3 and S4 to 1 s each and S5 to 300 s.
 """
 
 from __future__ import annotations
@@ -14,13 +14,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from math import inf
 from random import Random
 from typing import Callable, Iterable, Iterator
 
 from . import central, tbeta, witness
 from .epset import EPSet
-from .oracle import FiniteGroup, SubbaseSpec, compare, generate_subbase, \
-    min_neighborhoods, topology_props
+from .oracle import KINDS, FiniteGroup, MinNbhdMap, SubbaseSpec, compare, \
+    generate_subbase, min_neighborhoods, topology_props
 from .perm import ResiduePerm, commutes, conjugate, from_mapping, identity, image, \
     sigma, support
 from .sampling import random_finite_perm, random_involution, random_partition, \
@@ -46,29 +47,27 @@ class CriterionResult:
                 f"{self.detail} ({self.elapsed_s:.2f}s)")
 
 
-def _result(number: int, title: str, started: float, ok: bool,
-            detail: str) -> CriterionResult:
-    return CriterionResult(number, title, ok, detail, time.perf_counter() - started)
-
-
-def _sampled(number: int, title: str, started: float, detail: str,
-             *stages: tuple[Iterable[tuple], Callable[..., Checks]],
-             enough: bool = True) -> CriterionResult:
+def _run(number: int, title: str, started: float, detail: str,
+         *stages: tuple[Iterable[tuple], Callable[..., Checks]],
+         enough: bool = True, budget: float = inf) -> CriterionResult:
     """Run each stage's check on each of its items, as `check(*item)`. `detail`
-    may name the counts of `{items}` and of `{bad}` items with a failed check;
-    the criterion passes when no item fails and `enough` holds."""
+    may name the counts of `{items}` and of `{bad}` items with a failed check. The
+    criterion passes when no item fails, `enough` holds and it took <= `budget` s."""
     items = bad = 0
-    first = ""
+    failures = ""
     for source, check in stages:
         for item in source:
             items += 1
             for name, ok, _ in check(*item):
                 if not ok:
                     bad += 1
-                    first = first or f"; first failure: {name} on item {items}"
+                    failures = failures or f"; first failure: {name} on item {items}"
                     break
-    return _result(number, title, started, bad == 0 and enough,
-                   detail.format(items=items, bad=bad) + first)
+    elapsed = time.perf_counter() - started
+    if elapsed > budget:
+        failures += f"; over {budget:g}s budget"
+    return CriterionResult(number, title, not failures and enough,
+                           detail.format(items=items, bad=bad) + failures, elapsed)
 
 
 # -- certificate checks ------------------------------------------------------------
@@ -124,31 +123,32 @@ def check_partition_stabilizer(part: tbeta.Partition, h: ResiduePerm) -> Checks:
 
 # -- 1: finite symmetric groups -------------------------------------------------
 
-def criterion_1(seed: int = 1, samples: int | None = None) -> CriterionResult:
-    title = "five sub-base families discrete and equal on small symmetric groups"
-    t0 = time.perf_counter()
-    kinds = ("tp", "zpp", "zp", "zariski", "cent")
-    budgets = {3: 1.0, 4: 1.0, 5: 300.0}
-    problems: list[str] = []
+def _symmetric_maps() -> Iterator[tuple[int, dict[str, MinNbhdMap], float]]:
+    """Per degree, every family's minimal-neighbourhood map and their build time."""
     for n in (3, 4, 5):
         started = time.perf_counter()
         group = FiniteGroup.symmetric(n)
         maps = {k: min_neighborhoods(group, generate_subbase(group, SubbaseSpec(k, 2)))
-                for k in kinds}
-        for k, m in maps.items():
-            if not topology_props(m).discrete:
-                problems.append(f"sn({n}) {k} not discrete")
-        for a, b in combinations(kinds, 2):
-            verdict = compare(maps[a], maps[b]).verdict
-            if verdict != "equal":
-                problems.append(f"sn({n}) {a} vs {b}: {verdict}")
-        took = time.perf_counter() - started
-        if took > budgets[n]:
-            problems.append(f"sn({n}) over budget")
-    ok = not problems
-    detail = ("sn(3)/sn(4)/sn(5): tp, zpp, zp, zariski(2), cent all discrete and "
-              "pairwise equal, within time budgets" if ok else "; ".join(problems[:4]))
-    return _result(1, title, t0, ok, detail)
+                for k in KINDS}
+        yield n, maps, time.perf_counter() - started
+
+
+def _check_symmetric(n: int, maps: dict[str, MinNbhdMap], took: float) -> Checks:
+    """Every family discrete, every two equal, and the degree within its budget."""
+    budget = {3: 1.0, 4: 1.0, 5: 300.0}[n]
+    return [(f"sn({n}) {k} discrete", topology_props(m).discrete, "")
+            for k, m in maps.items()] + \
+        [(f"sn({n}) {a} vs {b} equal", compare(maps[a], maps[b]).verdict == "equal", "")
+         for a, b in combinations(maps, 2)] + \
+        [(f"sn({n}) within {budget:g}s budget", took <= budget, "")]
+
+
+def criterion_1(seed: int = 1, samples: int | None = None) -> CriterionResult:
+    title = "five sub-base families discrete and equal on small symmetric groups"
+    t0 = time.perf_counter()
+    return _run(1, title, t0, "sn(3)/sn(4)/sn(5): tp, zpp, zp, zariski(2), cent all "
+                "discrete and pairwise equal, within time budgets",
+                (_symmetric_maps(), _check_symmetric))
 
 
 # -- 2: separating distinct permutations ----------------------------------------
@@ -166,9 +166,9 @@ def criterion_2(seed: int = 1, samples: int | None = None) -> CriterionResult:
     title = "separating open set around each of two distinct permutations"
     t0 = time.perf_counter()
     pairs = _distinct_pairs(Random(seed), samples or 1000)
-    return _sampled(2, title, t0, "{items} random pairs, {bad} separation failures",
-                    (((f, g, witness.t1_separator(f, g)) for f, g in pairs),
-                     check_separator))
+    return _run(2, title, t0, "{items} random pairs, {bad} separation failures",
+                (((f, g, witness.t1_separator(f, g)) for f, g in pairs),
+                 check_separator))
 
 
 # -- 3: escaping finitely many conjugation constraints ---------------------------
@@ -194,12 +194,12 @@ def criterion_3(seed: int = 1, samples: int | None = None) -> CriterionResult:
     count = samples or 100
     instances = list(_escape_instances(Random(seed), count))
     with_infinite = sum(1 for inst in instances if inst.k >= 1)
-    return _sampled(3, title, t0,
-                    f"{{items}} instances ({with_infinite} with an infinite-support "
-                    f"constraint), {{bad}} failures",
-                    (((inst, witness.escape_witness(inst)) for inst in instances),
-                     check_escape),
-                    enough=with_infinite >= min(20, count // 5))
+    return _run(3, title, t0,
+                f"{{items}} instances ({with_infinite} with an infinite-support "
+                f"constraint), {{bad}} failures",
+                (((inst, witness.escape_witness(inst)) for inst in instances),
+                 check_escape),
+                enough=with_infinite >= min(20, count // 5))
 
 
 # -- 4: closed balls and isolation ------------------------------------------------
@@ -223,109 +223,84 @@ def _fixed_pairs(f: tuple[int, ...]) -> int:
     return mask
 
 
+def _scans(window: int) -> list[list[tuple[tuple[int, ...], int]]]:
+    """Entry n: the window permutations moving at most n points, by support size."""
+    by_size: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(window + 1)]
+    for w in permutations(range(window)):
+        by_size[sum(1 for i, v in enumerate(w) if i != v)].append((w, _fixed_pairs(w)))
+    return [sum(by_size[:n + 1], []) for n in range(window + 1)]
+
+
+def _derangements(window: int, sizes: range) -> Iterator[ResiduePerm]:
+    for size in sizes:
+        for spt in combinations(range(window), size):
+            for images in permutations(spt):
+                if all(a != b for a, b in zip(spt, images)):
+                    yield from_mapping(dict(zip(spt, images)))
+
+
 def criterion_4(seed: int = 1, samples: int | None = None) -> CriterionResult:
     title = "support balls excluded and equal-size permutations isolated"
     t0 = time.perf_counter()
-    problems: list[str] = []
+    ball_scans, iso_scans = _scans(6), _scans(5)
+    balls = [(g, n) for g in _derangements(6, range(3, 7))
+             for n in range(len(g.moved_points()))]
+    isolated = list(_derangements(5, range(5)))
+    spot = 0  # permutations the ball checks scanned so far
 
-    window = 6
-    world = list(permutations(range(window)))
-    # each window permutation with the pairs it fixes, by support size
-    by_size: dict[int, list[tuple[tuple[int, ...], int]]] = \
-        {s: [] for s in range(window + 1)}
-    for w in world:
-        by_size[sum(1 for i, v in enumerate(w) if i != v)].append((w, _fixed_pairs(w)))
+    def check_ball(g: ResiduePerm, n: int) -> Checks:
+        nonlocal spot
+        spt = tuple(g.moved_points())
+        expr, table = witness.closed_ball_witness(g, n)
+        pairs = 0
+        for (a, _), c in table.mapping:
+            pairs |= _pair_bit(a, c, 6)
+        scan = ball_scans[n]
+        spots = scan[-(spot + 1) % 397::397]  # every 397th scanned overall
+        spot += len(scan)
+        return [(f"ball on {spt} n={n} contains g", member(expr, g), ""),
+                (f"ball on {spt} n={n} excludes support <= n",
+                 all(fixed & pairs for _, fixed in scan), ""),
+                (f"member() agrees on {spt} n={n}", not any(member(
+                    expr, from_mapping({i: v for i, v in enumerate(f) if i != v}))
+                    for f, _ in spots), "")]
 
-    ball_checks = 0
-    spot = 0
-    for size in range(3, 7):
-        for spt in combinations(range(window), size):
-            for images in permutations(spt):
-                if any(a == b for a, b in zip(spt, images)):
-                    continue
-                g = from_mapping(dict(zip(spt, images)))
-                for n in range(size):
-                    expr, table = witness.closed_ball_witness(g, n)
-                    if not member(expr, g):
-                        problems.append(f"ball witness omits g on {spt} n={n}")
-                        continue
-                    pairs = 0
-                    for a in spt:
-                        for kk in range(n + 1):
-                            pairs |= _pair_bit(a, table(a, kk), window)
-                    for s in range(n + 1):
-                        for f, fixed in by_size[s]:
-                            if not fixed & pairs:
-                                problems.append(f"ball admits |supt|={s} on {spt} n={n}")
-                                break
-                            spot += 1
-                            if spot % 397 == 0 and member(expr, from_mapping(
-                                    {i: v for i, v in enumerate(f) if i != v})):
-                                problems.append(f"member() disagrees on {spt} n={n}")
-                            ball_checks += 1
-                if problems:
-                    break
-            if problems:
-                break
-        if problems:
-            break
+    def check_isolation(g: ResiduePerm) -> Checks:
+        spt = tuple(g.moved_points())
+        expr, candidates = witness.isolation_witness(g)
+        pairs = 0
+        for sub in expr.parts:
+            for factor in sub.parts:
+                x, c = sorted(factor.b.moved_points())
+                pairs |= _pair_bit(x, c, 5)
+        found = {f for f, fixed in iso_scans[len(spt)] if not fixed & pairs}
+        expected = {tuple(cand.apply(i) for i in range(5)) for cand in candidates}
+        return [(f"isolation on {spt} finds the candidates", found == expected, "")]
 
-    iso_checks = 0
-    if not problems:
-        small = [(f, _fixed_pairs(f)) for f in permutations(range(5))]
-        for size in range(0, 5):
-            for spt in combinations(range(5), size):
-                for images in permutations(spt):
-                    if any(a == b for a, b in zip(spt, images)):
-                        continue
-                    g = from_mapping(dict(zip(spt, images)))
-                    expr, candidates = witness.isolation_witness(g)
-                    pairs = 0
-                    for sub in expr.parts:
-                        for factor in sub.parts:
-                            x, c = sorted(factor.b.moved_points())
-                            pairs |= _pair_bit(x, c, 5)
-                    found = set()
-                    for f, fixed in small:
-                        if sum(1 for i, v in enumerate(f) if i != v) > size:
-                            continue
-                        if not fixed & pairs:
-                            found.add(f)
-                        iso_checks += 1
-                    expected = {tuple(cand.apply(i) for i in range(5))
-                                for cand in candidates}
-                    if found != expected:
-                        problems.append(f"isolation mismatch on {spt}")
-    ok = not problems
-    detail = (f"{ball_checks} ball exclusions and {iso_checks} isolation "
-              f"enumerations verified" if ok else "; ".join(problems[:3]))
-    return _result(4, title, t0, ok, detail)
+    return _run(4, title, t0,
+                f"{sum(len(ball_scans[n]) for _, n in balls)} ball exclusions and "
+                f"{sum(len(iso_scans[len(g.moved_points())]) for g in isolated)} "
+                f"isolation enumerations verified",
+                (balls, check_ball), (((g,) for g in isolated), check_isolation))
 
 
 # -- 5: centralizer of a full point group vs pointwise stabilizer ----------------
 
+def _check_stabilizer(points: tuple[int, ...], window: tuple[int, ...]) -> Checks:
+    # one name for all: formatting A and W into each of 940 names costs 6%
+    fixing = central.centralizer_equals_stabilizer(points, window)
+    return [("centralizer is stabilizer iff |A| >= 3", fixing == (len(points) >= 3), "")]
+
+
 def criterion_5(seed: int = 1, samples: int | None = None) -> CriterionResult:
     title = "centralizing a point group is fixing its points (three or more)"
     t0 = time.perf_counter()
-    problems: list[str] = []
-    checked = 0
-    for w_size in range(3, 8):
-        for win in combinations(range(7), w_size):
-            for a_size in range(3, w_size + 1):
-                for pts in combinations(win, a_size):
-                    checked += 1
-                    if not central.centralizer_equals_stabilizer(pts, win):
-                        problems.append(f"A={pts} W={win}")
-    two_point = central.centralizer_equals_stabilizer((0, 1), range(4))
-    if two_point:
-        problems.append("two-point counterexample did not reproduce")
-    budget = time.perf_counter() - t0 < 10.0
-    if not budget:
-        problems.append("over 10s budget")
-    ok = not problems
-    detail = (f"{checked} (A, W) pairs exhaustive, two-point case fails as "
-              f"documented" if ok else "; ".join(problems[:3]))
-    return _result(5, title, t0, ok, detail)
+    pairs = [(pts, win) for w_size in range(3, 8)
+             for win in combinations(range(7), w_size)
+             for a_size in range(3, w_size + 1) for pts in combinations(win, a_size)]
+    return _run(5, title, t0, f"{len(pairs)} (A, W) pairs exhaustive, two-point case "
+                "fails as documented",
+                (pairs + [((0, 1), (0, 1, 2, 3))], _check_stabilizer), budget=10.0)
 
 
 # -- 6: double centralizer stability across windows ------------------------------
@@ -348,9 +323,9 @@ def criterion_6(seed: int = 1, samples: int | None = None) -> CriterionResult:
     items = ((perms, [frozenset(central.double_centralizer_window(perms, range(w)))
                       for w in (7, 8, 9)])
              for perms in families)
-    return _sampled(6, title, t0,
-                    "{items} random families stable over three windows, {bad} failures",
-                    (items, _check_window_stability))
+    return _run(6, title, t0,
+                "{items} random families stable over three windows, {bad} failures",
+                (items, _check_window_stability))
 
 
 # -- 7: centralizers are not neighborhoods of finite-set stabilizers -------------
@@ -363,9 +338,9 @@ def criterion_7(seed: int = 1, samples: int | None = None) -> CriterionResult:
     sets = [pts for k in range(5) for pts in combinations(range(10), k)]
     items = ((g, pts, central.centralizer_not_open_witness(g, pts))
              for g in gs for pts in sets)
-    return _sampled(7, title, t0,
-                    f"{len(gs)} permutations x {len(sets)} point sets, {{bad}} failures",
-                    (items, check_cent_open))
+    return _run(7, title, t0,
+                f"{len(gs)} permutations x {len(sets)} point sets, {{bad}} failures",
+                (items, check_cent_open))
 
 
 # -- 8: self-normalization certificates ------------------------------------------
@@ -400,23 +375,9 @@ def _thin_set_elements() -> Iterator[tuple[SDElement, ThinSet]]:
 def criterion_8(seed: int = 1, samples: int | None = None) -> CriterionResult:
     title = "free-factor membership and escape certificates over thin sets"
     t0 = time.perf_counter()
-    problems: list[str] = []
-    total = 0
-    for h, a in _thin_set_elements():
-        total += 1
-        for name, ok, _ in check_self_normalizing(h, a, certify_self_normalizing(h, a)):
-            if not ok:
-                problems.append(f"{name} fails on {h.to_literal()}")
-                break
-        if problems:
-            break
-    took = time.perf_counter() - t0
-    if took > 30.0:
-        problems.append("over 30s budget")
-    ok = not problems
-    return _result(8, title, t0, ok,
-                   f"{total} elements certified, none inconclusive"
-                   if ok else "; ".join(problems[:3]))
+    items = ((h, a, certify_self_normalizing(h, a)) for h, a in _thin_set_elements())
+    return _run(8, title, t0, "{items} elements certified, none inconclusive",
+                (items, check_self_normalizing), budget=30.0)
 
 
 # -- 9: mover sets and partition stabilizers --------------------------------------
@@ -429,12 +390,12 @@ def criterion_9(seed: int = 1, samples: int | None = None) -> CriterionResult:
     movers = [sigma()] + [random_residue_perm(rng, infinite=True)
                           for _ in range(count)]
     parts = [random_partition(rng) for _ in range(count)]
-    return _sampled(9, title, t0,
-                    f"{len(movers)} mover sets exact on [0,1000), {count} "
-                    f"partitions stabilized",
-                    (((f, tbeta.disjoint_mover_set(f)) for f in movers), check_mover_set),
-                    (((p, tbeta.infinite_support_stabilizer(p)) for p in parts),
-                     check_partition_stabilizer))
+    return _run(9, title, t0,
+                f"{len(movers)} mover sets exact on [0,1000), {count} "
+                f"partitions stabilized",
+                (((f, tbeta.disjoint_mover_set(f)) for f in movers), check_mover_set),
+                (((p, tbeta.infinite_support_stabilizer(p)) for p in parts),
+                 check_partition_stabilizer))
 
 
 # -- 10: algebraic law battery -----------------------------------------------------
@@ -471,11 +432,11 @@ def criterion_10(seed: int = 1, samples: int | None = None) -> CriterionResult:
     title = "group and support laws on mixed random permutations"
     t0 = time.perf_counter()
     count = samples or 10000
-    return _sampled(10, title, t0, "{items} samples, {bad} law failures",
-                    (_law_samples(Random(seed), count), _check_law))
+    return _run(10, title, t0, "{items} samples, {bad} law failures",
+                (_law_samples(Random(seed), count), _check_law))
 
 
-# -- runner ------------------------------------------------------------------------
+# -- suites ------------------------------------------------------------------------
 
 CRITERIA = {
     1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,

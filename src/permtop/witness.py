@@ -66,11 +66,8 @@ def stabilizer_closed_witness(f: ResiduePerm, points) -> ConjNeq:
 class EscapeInstance:
     """Finitely many conjugation targets to miss, plus a point to move.
 
-    pairs: (f_i, g_i) with every f_i a non-identity involution. Stored
-    with the infinite-support f_i first; k is their count. The finite
-    tail is neutralized wholesale by displacing a set containing all its
-    supports and their g_i-images, so only the first k pairs need the
-    inductive point choices.
+    pairs: (f_i, g_i) in the caller's order, every f_i a non-identity
+    involution; k counts the infinite-support f_i.
     """
     pairs: tuple[tuple[ResiduePerm, ResiduePerm], ...]
     anchor: int
@@ -84,9 +81,7 @@ class EscapeInstance:
                 raise NotInvolution(i)
         if self.anchor < 0:
             raise ValueError("anchor must be a natural")
-        infinite = tuple(p for p in pairs if not p[0].has_finite_support())
-        finite = tuple(p for p in pairs if p[0].has_finite_support())
-        object.__setattr__(self, "pairs", infinite + finite)
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def k(self) -> int:
@@ -105,10 +100,17 @@ def _least_extension(inj: dict[int, int]) -> ResiduePerm:
 
 def escape_witness(inst: EscapeInstance) -> ResiduePerm:
     """Finitely supported u with u f_i u^-1 != g_i f_i g_i^-1 for all i,
-    and u(anchor) != anchor."""
+    and u(anchor) != anchor.
+
+    The k infinite-support pairs go first, in their given order. The
+    finite tail is neutralized wholesale by displacing a set containing
+    all its supports and their g_i-images, so only the first k pairs
+    need the inductive point choices.
+    """
     k = inst.k
+    pairs = sorted(inst.pairs, key=lambda p: p[0].has_finite_support())
     frozen: set[int] = {inst.anchor}
-    for f, g in inst.pairs[k:]:
+    for f, g in pairs[k:]:
         supp = f.moved_points()
         frozen.update(supp)
         frozen.update(g.apply(p) for p in supp)
@@ -129,7 +131,7 @@ def escape_witness(inst: EscapeInstance) -> ResiduePerm:
     used_domain: set[int] = set()
     used_range: set[int] = set()
     range_floor = set(u0.values())
-    for f, g in inst.pairs[:k]:
+    for f, g in pairs[:k]:
         bad_domain = frozen | used_domain
         bad_range = range_floor | used_range
         x = next(c for c in f.support().iter_members()

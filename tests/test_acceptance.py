@@ -4,11 +4,11 @@ Runs every numbered criterion at its stated tolerance and prints one
 status line per criterion in the terminal summary.
 """
 
-from itertools import permutations
+from itertools import count, islice, permutations
 
 import pytest
 
-from permtop import witness
+from permtop import suites, witness
 from permtop.suites import CRITERIA, SUITES, _fixed_pairs, _pair_bit, criterion_2, \
     run_suite
 
@@ -40,6 +40,32 @@ def test_sampled_criterion_counts_failures_and_names_the_first(monkeypatch):
     assert not result.ok
     assert result.detail == \
         "5 random pairs, 5 separation failures; first failure: contains g on item 1"
+
+
+def slow_clock(monkeypatch):
+    # every reading of the clock is 1000 s after the one before
+    ticks = count(step=1000.0)
+    monkeypatch.setattr(suites.time, "perf_counter", lambda: next(ticks))
+
+
+def test_criteria_1_and_5_fail_over_their_budgets(monkeypatch):
+    slow_clock(monkeypatch)
+    one = CRITERIA[1]()
+    assert not one.ok
+    assert one.detail.endswith("; first failure: sn(3) within 1s budget on item 1")
+    five = CRITERIA[5]()
+    assert not five.ok
+    assert five.detail == ("939 (A, W) pairs exhaustive, two-point case fails as "
+                           "documented; over 10s budget")
+
+
+def test_criterion_8_fails_over_its_budget(monkeypatch):
+    elements = suites._thin_set_elements
+    monkeypatch.setattr(suites, "_thin_set_elements", lambda: islice(elements(), 5))
+    slow_clock(monkeypatch)
+    result = CRITERIA[8]()
+    assert not result.ok
+    assert result.detail == "5 elements certified, none inconclusive; over 30s budget"
 
 
 def pair_fixed(f, a, c):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -412,6 +413,19 @@ def test_escape_rejects_an_infinite_support_witness(capsys, monkeypatch):
     assert "witness: res[2; 1,-1; patch: 1->3, 2->0]" in out
 
 
+def test_escape_numbers_its_constraints_in_pair_order(capsys, monkeypatch):
+    # only the (0 1) constraint fails, so constraint 1 must be pair_1
+    member = suites.member
+    monkeypatch.setattr(suites, "member", lambda expr, u: (
+        expr.b != permtop.transposition(0, 1) and member(expr, u)))
+    code, out, _ = run(capsys, "witness", "escape", "--pair", "(0 1) | id",
+                       "--pair", "sigma | id", "--anchor", "5")
+    assert code == 1
+    assert "param pair_1 = (0 1) | id" in out
+    assert "check constraint 1 escaped: FAIL" in out
+    assert "check constraint 2 escaped: PASS" in out
+
+
 def test_selfnorm_rejects_a_false_membership_verdict(capsys, monkeypatch):
     monkeypatch.setattr(cli, "certify_self_normalizing",
                         lambda h, a, depth: permtop.InSubgroup())
@@ -437,10 +451,14 @@ def test_selfnorm_rejects_a_witness_generator_outside_the_set(capsys, monkeypatc
 
 
 def test_criterion_8_rejects_a_witness_generator_outside_the_set(monkeypatch):
+    # the runner checks every element, so a prefix keeps a failing run short
+    elements = suites._thin_set_elements
+    monkeypatch.setattr(suites, "_thin_set_elements", lambda: islice(elements(), 100))
     monkeypatch.setattr(suites, "certify_self_normalizing", moves_out_by_z3)
     result = suites.criterion_8()
     assert not result.ok
-    assert result.detail.startswith("generator in the set fails on ")
+    assert result.detail == ("100 elements certified, none inconclusive; "
+                             "first failure: generator in the set on item 1")
 
 
 def test_verify_suite(capsys):

@@ -86,10 +86,18 @@ def test_escape_instance_validation():
     inst = EscapeInstance(
         ((transposition(0, 1), identity()), (sigma(), identity())), 5
     )
-    # infinite-support rows come first
-    assert inst.pairs[0][0] == sigma()
+    # pairs keep the caller's order; k counts the infinite-support ones
+    assert inst.pairs[0][0] == transposition(0, 1)
     assert inst.k == 1
     assert inst.anchor == 5
+
+
+def test_escape_witness_takes_the_infinite_support_pairs_first():
+    finite = (transposition(0, 1), identity())
+    infinite = (sigma(), identity())
+    assert escape_witness(EscapeInstance((finite, infinite), 5)) == \
+        escape_witness(EscapeInstance((infinite, finite), 5)) == \
+        ResiduePerm.from_cycles((0, 2, 1, 3, 5, 4, 7))
 
 
 def test_escape_witness_frozen():
