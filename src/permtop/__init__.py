@@ -24,11 +24,11 @@ from .central import (centralizer_equals_stabilizer, centralizer_not_open_witnes
                       double_centralizer_window)
 from .selfnorm import (FreeWord, Inconclusive, InSubgroup, MovesOut, SDElement,
                        ThinSet, certify_self_normalizing, in_free_factor,
-                       sd_conj, thin_check, word_element)
+                       sd_conj, word_element)
 from .oracle import (Comparison, ContinuityReport, FiniteGroup, MinNbhdMap,
                      Subbase, SubbaseSpec, TopologyProps, build_group,
                      classify_continuity, compare, generate_subbase,
-                     min_neighborhoods, set_is_open, topology_props, translate_set)
+                     min_neighborhoods, topology_props, translate_set)
 from .tbeta import (Partition, alpha_basic_equivalence, disjoint_mover_set,
                     infinite_support_stabilizer, nbhd_member, stabilizes,
                     validate_partition)

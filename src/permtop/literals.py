@@ -84,9 +84,6 @@ class _Parser:
         if not self.at_end():
             self.error(f"trailing input {self.peek_value()!r}")
 
-    def here(self) -> tuple[int, int]:
-        return self._where()
-
     def build(self, where: tuple[int, int], fn, *args, **kwargs):
         # Value constructors validate their inputs; surface any rejection
         # as a parse failure at the literal that produced it.
@@ -114,10 +111,18 @@ class _Parser:
         return out
 
 
+def _parse(text: str, rule):
+    """The value `rule` reads from the whole of `text`."""
+    p = _Parser(text)
+    out = rule(p)
+    p.expect_end()
+    return out
+
+
 # -- permutations -------------------------------------------------------------
 
 def _perm_atom(p: _Parser) -> ResiduePerm:
-    start = p.here()
+    start = p._where()
     if p.peek() == "(":
         cycles = []
         while p.peek() == "(":
@@ -177,16 +182,13 @@ def _perm_expr(p: _Parser) -> ResiduePerm:
 
 
 def parse_perm(text: str) -> ResiduePerm:
-    p = _Parser(text)
-    out = _perm_expr(p)
-    p.expect_end()
-    return out
+    return _parse(text, _perm_expr)
 
 
 # -- eventually periodic sets ---------------------------------------------------
 
 def _epset_body(p: _Parser) -> EPSet:
-    start = p.here()
+    start = p._where()
     if p.take("name") != "ep":
         p.error("expected 'ep'")
     p.take("[")
@@ -209,16 +211,13 @@ def _epset_body(p: _Parser) -> EPSet:
 
 
 def parse_epset(text: str) -> EPSet:
-    p = _Parser(text)
-    out = _epset_body(p)
-    p.expect_end()
-    return out
+    return _parse(text, _epset_body)
 
 
 # -- group words and open-set expressions ---------------------------------------
 
 def _group_word(p: _Parser) -> GroupWord:
-    start = p.here()
+    start = p._where()
     letters = []
 
     def factor():
@@ -242,14 +241,11 @@ def _group_word(p: _Parser) -> GroupWord:
 
 
 def parse_group_word(text: str) -> GroupWord:
-    p = _Parser(text)
-    out = _group_word(p)
-    p.expect_end()
-    return out
+    return _parse(text, _group_word)
 
 
 def _expr(p: _Parser) -> OpenSetExpr:
-    start = p.here()
+    start = p._where()
     name = p.take("name")
     if name == "conjneq" or name == "dconjneq" or name == "conjeq":
         p.take("(")
@@ -293,10 +289,7 @@ def _expr(p: _Parser) -> OpenSetExpr:
 
 
 def parse_expr(text: str) -> OpenSetExpr:
-    p = _Parser(text)
-    out = _expr(p)
-    p.expect_end()
-    return out
+    return _parse(text, _expr)
 
 
 def word_to_literal(w: GroupWord) -> str:
@@ -364,10 +357,7 @@ def _free_word(p: _Parser) -> FreeWord:
 
 
 def parse_free_word(text: str) -> FreeWord:
-    p = _Parser(text)
-    out = _free_word(p)
-    p.expect_end()
-    return out
+    return _parse(text, _free_word)
 
 
 def parse_sd_element(text: str) -> SDElement:

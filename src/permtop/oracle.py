@@ -325,15 +325,6 @@ def _check_mask(mask: int, order: int) -> None:
         raise SpecMismatch(f"mask {mask:#b} is not a set of {order} elements")
 
 
-def set_is_open(nbhd: MinNbhdMap, mask: int) -> bool:
-    """Open in the generated topology iff it absorbs minimal neighborhoods."""
-    _check_mask(mask, nbhd.order)
-    for g in mask_bits(mask):
-        if nbhd.masks[g] & ~mask:
-            return False
-    return True
-
-
 def translate_set(group: FiniteGroup, s: int, mask: int, t: int) -> int:
     """{s*x*t : x in mask} as a mask."""
     _check_mask(mask, group.order)

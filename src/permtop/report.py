@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from . import __version__
 
@@ -37,7 +38,7 @@ class Report:
         self.verdicts.append(Check(name, bool(ok), detail))
         return bool(ok)
 
-    def extend(self, checks: list[tuple[str, bool, str]]) -> None:
+    def extend(self, checks: Iterable[tuple[str, bool, str]]) -> None:
         for name, ok, detail in checks:
             self.check(name, ok, detail)
 

@@ -1,8 +1,8 @@
 """The certificate checks and the ten verification suites behind the
 certificate commands, `permtop verify` and the acceptance tests.
 
-A certificate check returns named `(name, ok, detail)` checks from a
-construction's inputs and output, using checking primitives only. Each
+A certificate check yields named `(name, ok, detail)` checks, one at a time,
+from a construction's inputs and output, using checking primitives only. Each
 criterion is a source of items and a check of one item, decided by the one
 runner `_run` with a deterministic detail (timing lives only in elapsed_s).
 The runner fails criterion 5 past 10 s and criterion 8 past 30 s; criterion
@@ -30,7 +30,7 @@ from .selfnorm import FreeWord, InSubgroup, MovesOut, SDElement, ThinSet, Verdic
     certify_self_normalizing, generator, in_free_factor, sd_conj, word_element
 from .subbase import ConjNeq, OpenSetExpr, member
 
-Checks = list[tuple[str, bool, str]]
+Checks = Iterator[tuple[str, bool, str]]
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,12 @@ class CriterionResult:
 
 def _run(number: int, title: str, started: float, detail: str,
          *stages: tuple[Iterable[tuple], Callable[..., Checks]],
-         enough: bool = True, budget: float = inf) -> CriterionResult:
-    """Run each stage's check on each of its items, as `check(*item)`. `detail`
-    may name the counts of `{items}` and of `{bad}` items with a failed check. The
-    criterion passes when no item fails, `enough` holds and it took <= `budget` s."""
+         shortfall: str = "", budget: float = inf) -> CriterionResult:
+    """Run each stage's check on each of its items, as `check(*item)`, up to the
+    item's first failed check. The criterion passes when no item fails, there is
+    no `shortfall` (why the items are too few to count) and it took <= `budget` s.
+    A pass reports `detail`, which may name the counts of `{items}` and of `{bad}`
+    items; a failure reports those counts and each reason it failed."""
     items = bad = 0
     failures = ""
     for source, check in stages:
@@ -63,62 +65,66 @@ def _run(number: int, title: str, started: float, detail: str,
                     bad += 1
                     failures = failures or f"; first failure: {name} on item {items}"
                     break
+    if shortfall:
+        failures += f"; {shortfall}"
     elapsed = time.perf_counter() - started
     if elapsed > budget:
         failures += f"; over {budget:g}s budget"
-    return CriterionResult(number, title, not failures and enough,
-                           detail.format(items=items, bad=bad) + failures, elapsed)
+    detail = f"{bad} of {items} items failed{failures}" if failures \
+        else detail.format(items=items, bad=bad)
+    return CriterionResult(number, title, not failures, detail, elapsed)
 
 
 # -- certificate checks ------------------------------------------------------------
 
 def check_separator(f: ResiduePerm, g: ResiduePerm, expr: OpenSetExpr) -> Checks:
     """An open set around g that misses f."""
-    return [("contains g", member(expr, g), ""),
-            ("excludes f", not member(expr, f), "")]
+    yield "contains g", member(expr, g), ""
+    yield "excludes f", not member(expr, f), ""
 
 
 def check_escape(inst: witness.EscapeInstance, u: ResiduePerm) -> Checks:
     """Finitely supported u moving the anchor, with u f_i u^-1 != g_i f_i g_i^-1."""
-    return [("finitely supported", u.has_finite_support(), ""),
-            ("moves the anchor", u.apply(inst.anchor) != inst.anchor, "")] + \
-        [(f"constraint {i} escaped", member(ConjNeq(a=g, b=f), u), "")
-         for i, (f, g) in enumerate(inst.pairs, start=1)]
+    yield "finitely supported", u.has_finite_support(), ""
+    yield "moves the anchor", u.apply(inst.anchor) != inst.anchor, ""
+    for i, (f, g) in enumerate(inst.pairs, start=1):
+        yield f"constraint {i} escaped", member(ConjNeq(a=g, b=f), u), ""
 
 
 def check_cent_open(g: ResiduePerm, avoid: Iterable[int], t: ResiduePerm) -> Checks:
     """A t fixing every point of `avoid` that does not commute with g."""
-    return [("avoids the point set", not set(t.moved_points()) & set(avoid), ""),
-            ("breaks commutation", not commutes(t, g), "")]
+    yield "avoids the point set", not set(t.moved_points()) & set(avoid), ""
+    yield "breaks commutation", not commutes(t, g), ""
 
 
 def check_self_normalizing(h: SDElement, a: ThinSet, verdict: Verdict) -> Checks:
     """h in F_A, or a generator k in A with h z_k h^-1 outside F_A."""
     if isinstance(verdict, InSubgroup):
-        return [("inside the free factor", h.shift == 0 and in_free_factor(h.word, a),
-                 "zero shift and every letter in the set")]
-    if isinstance(verdict, MovesOut):
+        yield ("inside the free factor", h.shift == 0 and in_free_factor(h.word, a),
+               "zero shift and every letter in the set")
+    elif isinstance(verdict, MovesOut):
         k = verdict.witness
+        yield "generator in the set", k in a, ""
         conj = sd_conj(h, word_element(generator(k)))
-        return [("generator in the set", k in a, ""),
-                ("conjugate recomputed", conj == verdict.conjugate, f"generator {k}"),
-                ("conjugate leaves the factor",
-                 conj.shift != 0 or not in_free_factor(conj.word, a), "")]
-    return [("certificate found", False,
-             f"no witness among the first {len(verdict.tried)} generators")]
+        yield "conjugate recomputed", conj == verdict.conjugate, f"generator {k}"
+        yield ("conjugate leaves the factor",
+               conj.shift != 0 or not in_free_factor(conj.word, a), "")
+    else:
+        yield ("certificate found", False,
+               f"no witness among the first {len(verdict.tried)} generators")
 
 
 def check_mover_set(f: ResiduePerm, u: EPSet) -> Checks:
     """A set u that f moves wholly off itself."""
-    return [("image disjoint from the set", (image(f, u) & u).is_empty(), ""),
-            ("pointwise disjoint on [0,1000)",
-             all(f.apply(x) not in u for x in u.list_below(1000)), "")]
+    yield "image disjoint from the set", (image(f, u) & u).is_empty(), ""
+    yield ("pointwise disjoint on [0,1000)",
+           all(f.apply(x) not in u for x in u.list_below(1000)), "")
 
 
 def check_partition_stabilizer(part: tbeta.Partition, h: ResiduePerm) -> Checks:
     """An infinite-support h mapping every piece of the partition onto itself."""
-    return [("infinite support", not h.has_finite_support(), ""),
-            ("stabilizes every piece", tbeta.stabilizes(h, part), "")]
+    yield "infinite support", not h.has_finite_support(), ""
+    yield "stabilizes every piece", tbeta.stabilizes(h, part), ""
 
 
 # -- 1: finite symmetric groups -------------------------------------------------
@@ -136,11 +142,12 @@ def _symmetric_maps() -> Iterator[tuple[int, dict[str, MinNbhdMap], float]]:
 def _check_symmetric(n: int, maps: dict[str, MinNbhdMap], took: float) -> Checks:
     """Every family discrete, every two equal, and the degree within its budget."""
     budget = {3: 1.0, 4: 1.0, 5: 300.0}[n]
-    return [(f"sn({n}) {k} discrete", topology_props(m).discrete, "")
-            for k, m in maps.items()] + \
-        [(f"sn({n}) {a} vs {b} equal", compare(maps[a], maps[b]).verdict == "equal", "")
-         for a, b in combinations(maps, 2)] + \
-        [(f"sn({n}) within {budget:g}s budget", took <= budget, "")]
+    for k, m in maps.items():
+        yield f"sn({n}) {k} discrete", topology_props(m).discrete, ""
+    for a, b in combinations(maps, 2):
+        equal = compare(maps[a], maps[b]).verdict == "equal"
+        yield f"sn({n}) {a} vs {b} equal", equal, ""
+    yield f"sn({n}) within {budget:g}s budget", took <= budget, ""
 
 
 def criterion_1(seed: int = 1, samples: int | None = None) -> CriterionResult:
@@ -194,12 +201,15 @@ def criterion_3(seed: int = 1, samples: int | None = None) -> CriterionResult:
     count = samples or 100
     instances = list(_escape_instances(Random(seed), count))
     with_infinite = sum(1 for inst in instances if inst.k >= 1)
+    need = min(20, count // 5)
     return _run(3, title, t0,
                 f"{{items}} instances ({with_infinite} with an infinite-support "
                 f"constraint), {{bad}} failures",
                 (((inst, witness.escape_witness(inst)) for inst in instances),
                  check_escape),
-                enough=with_infinite >= min(20, count // 5))
+                shortfall="" if with_infinite >= need else
+                f"{with_infinite} instances with an infinite-support constraint, "
+                f"{need} needed")
 
 
 # -- 4: closed balls and isolation ------------------------------------------------
@@ -258,12 +268,12 @@ def criterion_4(seed: int = 1, samples: int | None = None) -> CriterionResult:
         scan = ball_scans[n]
         spots = scan[-(spot + 1) % 397::397]  # every 397th scanned overall
         spot += len(scan)
-        return [(f"ball on {spt} n={n} contains g", member(expr, g), ""),
-                (f"ball on {spt} n={n} excludes support <= n",
-                 all(fixed & pairs for _, fixed in scan), ""),
-                (f"member() agrees on {spt} n={n}", not any(member(
-                    expr, from_mapping({i: v for i, v in enumerate(f) if i != v}))
-                    for f, _ in spots), "")]
+        yield f"ball on {spt} n={n} contains g", member(expr, g), ""
+        yield (f"ball on {spt} n={n} excludes support <= n",
+               all(fixed & pairs for _, fixed in scan), "")
+        yield (f"member() agrees on {spt} n={n}", not any(member(
+            expr, from_mapping({i: v for i, v in enumerate(f) if i != v}))
+            for f, _ in spots), "")
 
     def check_isolation(g: ResiduePerm) -> Checks:
         spt = tuple(g.moved_points())
@@ -275,7 +285,7 @@ def criterion_4(seed: int = 1, samples: int | None = None) -> CriterionResult:
                 pairs |= _pair_bit(x, c, 5)
         found = {f for f, fixed in iso_scans[len(spt)] if not fixed & pairs}
         expected = {tuple(cand.apply(i) for i in range(5)) for cand in candidates}
-        return [(f"isolation on {spt} finds the candidates", found == expected, "")]
+        yield f"isolation on {spt} finds the candidates", found == expected, ""
 
     return _run(4, title, t0,
                 f"{sum(len(ball_scans[n]) for _, n in balls)} ball exclusions and "
@@ -289,7 +299,7 @@ def criterion_4(seed: int = 1, samples: int | None = None) -> CriterionResult:
 def _check_stabilizer(points: tuple[int, ...], window: tuple[int, ...]) -> Checks:
     # one name for all: formatting A and W into each of 940 names costs 6%
     fixing = central.centralizer_equals_stabilizer(points, window)
-    return [("centralizer is stabilizer iff |A| >= 3", fixing == (len(points) >= 3), "")]
+    yield "centralizer is stabilizer iff |A| >= 3", fixing == (len(points) >= 3), ""
 
 
 def criterion_5(seed: int = 1, samples: int | None = None) -> CriterionResult:
@@ -308,10 +318,9 @@ def criterion_5(seed: int = 1, samples: int | None = None) -> CriterionResult:
 def _check_window_stability(perms: list[ResiduePerm],
                             results: list[frozenset[ResiduePerm]]) -> Checks:
     """Double centralizers of a family on {0..3}: equal over all windows, on {0..3}."""
+    yield "same over every window", all(r == results[0] for r in results), ""
     inside = EPSet.finite(range(4))
-    return [("same over every window", all(r == results[0] for r in results), ""),
-            ("supported on {0..3}",
-             all(support(h).issubset(inside) for h in results[0]), "")]
+    yield "supported on {0..3}", all(support(h).issubset(inside) for h in results[0]), ""
 
 
 def criterion_6(seed: int = 1, samples: int | None = None) -> CriterionResult:
@@ -425,7 +434,7 @@ _LAWS = (
 
 
 def _check_law(law: int, *values) -> Checks:
-    return [(f"law {law}", _LAWS[law](*values), "")]
+    yield f"law {law}", _LAWS[law](*values), ""
 
 
 def criterion_10(seed: int = 1, samples: int | None = None) -> CriterionResult:

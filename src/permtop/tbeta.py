@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .epset import EPSet
 from .errors import FiniteSupport, Gap, OddModulus, Overlap
@@ -125,25 +125,23 @@ def infinite_support_stabilizer(part: Partition) -> ResiduePerm:
     return ResiduePerm(span, shifts, patch)
 
 
-def alpha_basic_equivalence(points: Iterable[int],
-                            perms: Sequence[ResiduePerm] | None = None) -> bool:
+def alpha_basic_equivalence(points: Iterable[int]) -> bool:
     """Check that the cover neighborhood of the identity for
     {singletons of points} + {rest} captures exactly FixesAll(points).
 
-    Returns true iff no sampled permutation distinguishes the two. With
-    perms omitted, a small deterministic battery mixing finite and
-    sigma-type elements around the point set is used.
+    Returns true iff no permutation of a small deterministic battery,
+    mixing finite and sigma-type elements around the point set,
+    distinguishes the two.
     """
     pts = sorted(set(points))
     pieces = tuple(EPSet.finite([p]) for p in pts) + (EPSet.cofinite(pts),)
     part = validate_partition(pieces)
     fixes = FixesAll(frozenset(pts))
-    if perms is None:
-        cap = (pts[-1] + 1) if pts else 0
-        perms = [identity(), sigma(), sigma() * transposition(cap, cap + 1)]
-        perms.extend(transposition(p, cap + 1 + p) for p in pts)
-        perms.extend(transposition(p, q) for p in pts for q in pts if p < q)
-        perms.append(transposition(cap + 2, cap + 3))
-        if pts:
-            perms.append(from_cycles((pts[0], cap, cap + 1)))
+    cap = (pts[-1] + 1) if pts else 0
+    perms = [identity(), sigma(), sigma() * transposition(cap, cap + 1)]
+    perms.extend(transposition(p, cap + 1 + p) for p in pts)
+    perms.extend(transposition(p, q) for p in pts for q in pts if p < q)
+    perms.append(transposition(cap + 2, cap + 3))
+    if pts:
+        perms.append(from_cycles((pts[0], cap, cap + 1)))
     return all(nbhd_member(g, identity(), part) == member(fixes, g) for g in perms)

@@ -9,6 +9,9 @@ from itertools import count, islice, permutations
 import pytest
 
 from permtop import suites, witness
+from permtop.perm import identity, transposition
+from permtop.selfnorm import FreeWord, MovesOut, SDElement, ThinSet, generator, sd_conj, \
+    word_element
 from permtop.suites import CRITERIA, SUITES, _fixed_pairs, _pair_bit, criterion_2, \
     run_suite
 
@@ -38,8 +41,33 @@ def test_sampled_criterion_counts_failures_and_names_the_first(monkeypatch):
     monkeypatch.setattr(witness, "t1_separator", lambda f, g: separate(g, f))
     result = criterion_2(samples=5)
     assert not result.ok
+    assert result.detail == "5 of 5 items failed; first failure: contains g on item 1"
+
+
+def test_criterion_3_fails_and_says_why_on_too_few_infinite_constraints(monkeypatch):
+    finite_only = witness.EscapeInstance(((transposition(0, 1), identity()),), 5)
+    monkeypatch.setattr(suites, "_escape_instances",
+                        lambda rng, count: [finite_only] * count)
+    result = CRITERIA[3](samples=10)
+    assert not result.ok
+    assert result.detail == ("0 of 10 items failed; 0 instances with an "
+                             "infinite-support constraint, 2 needed")
+
+
+def test_a_failed_check_ends_its_item(monkeypatch):
+    # the certificate names generator 3, outside pow2, so the runner stops
+    # before the conjugate is recomputed
+    pow2 = ThinSet.powers_of_two()
+    h = SDElement(FreeWord(((1, 1),)), 0)
+    verdict = MovesOut(3, sd_conj(h, word_element(generator(3))))
+    calls = []
+    monkeypatch.setattr(suites, "sd_conj",
+                        lambda h, w: calls.append(w) or sd_conj(h, w))
+    result = suites._run(8, "stub", 0.0, "{items} elements certified",
+                         ([(h, pow2, verdict)], suites.check_self_normalizing))
+    assert calls == []
     assert result.detail == \
-        "5 random pairs, 5 separation failures; first failure: contains g on item 1"
+        "1 of 1 items failed; first failure: generator in the set on item 1"
 
 
 def slow_clock(monkeypatch):
@@ -52,11 +80,11 @@ def test_criteria_1_and_5_fail_over_their_budgets(monkeypatch):
     slow_clock(monkeypatch)
     one = CRITERIA[1]()
     assert not one.ok
-    assert one.detail.endswith("; first failure: sn(3) within 1s budget on item 1")
+    assert one.detail == \
+        "3 of 3 items failed; first failure: sn(3) within 1s budget on item 1"
     five = CRITERIA[5]()
     assert not five.ok
-    assert five.detail == ("939 (A, W) pairs exhaustive, two-point case fails as "
-                           "documented; over 10s budget")
+    assert five.detail == "0 of 940 items failed; over 10s budget"
 
 
 def test_criterion_8_fails_over_its_budget(monkeypatch):
@@ -65,7 +93,7 @@ def test_criterion_8_fails_over_its_budget(monkeypatch):
     slow_clock(monkeypatch)
     result = CRITERIA[8]()
     assert not result.ok
-    assert result.detail == "5 elements certified, none inconclusive; over 30s budget"
+    assert result.detail == "0 of 5 items failed; over 30s budget"
 
 
 def pair_fixed(f, a, c):

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from itertools import islice
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import permtop
+from conftest import cyclic_table_text
 from permtop import ResiduePerm, cli, suites, witness
 from permtop.errors import WitnessError
 from permtop.report import Check, Report
@@ -457,7 +459,7 @@ def test_criterion_8_rejects_a_witness_generator_outside_the_set(monkeypatch):
     monkeypatch.setattr(suites, "certify_self_normalizing", moves_out_by_z3)
     result = suites.criterion_8()
     assert not result.ok
-    assert result.detail == ("100 elements certified, none inconclusive; "
+    assert result.detail == ("100 of 100 items failed; "
                              "first failure: generator in the set on item 1")
 
 
@@ -488,6 +490,34 @@ def test_verify_rejects_nonpositive_samples(capsys):
     for samples in (0, -3):
         with pytest.raises(ValueError, match="samples must be positive"):
             suites.run_suite("s2", samples=samples)
+
+
+def readme_examples():
+    """(argv, printed report or None) for every `permtop` line in the README's
+    "Command line" section; a `$ permtop` block prints its report below it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    examples = []
+    for block in section.split("```sh\n")[1:]:
+        lines = block.split("```")[0].splitlines()
+        if lines[0].startswith("$ permtop "):
+            examples.append((shlex.split(lines[0])[2:], "\n".join(lines[1:]) + "\n"))
+        else:
+            examples.extend((shlex.split(line)[1:], None)
+                            for line in lines if line.startswith("permtop "))
+    return examples
+
+
+def test_readme_command_line_examples(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "z4.txt").write_text(cyclic_table_text(4))
+    examples = readme_examples()
+    assert len(examples) == 10
+    for argv, report in examples:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, out, err)
+        if report is not None:
+            assert out == report, argv
 
 
 def test_module_runs_from_source_tree():

@@ -4,7 +4,7 @@ from time import perf_counter
 
 import pytest
 
-from permtop import EPSet, ResiduePerm, image
+from permtop import EPSet, ResiduePerm, image, tbeta
 from permtop.errors import FiniteSupport, Gap, OddModulus, Overlap
 from permtop.perm import identity, sigma, transposition
 from permtop.sampling import random_partition, random_residue_perm
@@ -208,8 +208,14 @@ def test_alpha_basic_equivalence():
     assert alpha_basic_equivalence((0, 1))
     assert alpha_basic_equivalence(())
     assert alpha_basic_equivalence((0, 1, 2))
-    assert alpha_basic_equivalence((0, 1), perms=[transposition(0, 1)])
-    assert alpha_basic_equivalence((0, 1), perms=[transposition(5, 6), sigma()])
+
+
+def test_alpha_basic_equivalence_tells_a_wrong_neighborhood_apart(monkeypatch):
+    # a neighbourhood that compares only the first piece's image misses the
+    # battery's permutations that fix 0 but move 1
+    monkeypatch.setattr(tbeta, "nbhd_member", lambda g, f, part: (
+        image(g, part.pieces[0]) == image(f, part.pieces[0])))
+    assert not alpha_basic_equivalence((0, 1))
 
 
 def test_alpha_basic_equivalence_examples():
