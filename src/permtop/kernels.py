@@ -18,14 +18,27 @@ def word_inequality_masks(mul: Sequence[int], n: int, max_vars: int) -> list[int
     case). Bit x of a mask is set iff the word evaluates off the identity
     at element x.
 
+    Only words with s_0 = +1 are walked; they already give every mask.
+    The set where w(x) != 1 is unchanged when w(x) is replaced by a
+    conjugate or by its inverse, and two such moves stay in the form:
+      - rotation, x^s_k c_k ... x^s_(m-1) c_(m-1) x^s_0 c_0 ... c_(k-1),
+        is w(x) conjugated by x^s_0 c_0 ... c_(k-1);
+      - inversion, x^-s_(m-1) c_(m-2)^-1 ... c_0^-1 x^-s_0 c_(m-1)^-1,
+        is w(x)^-1 conjugated by c_(m-1).
+    Both keep the number of occurrences, and their constants range over
+    the whole group as the c_j do. A word with some s_k = +1 rotates to
+    one starting with x; a word with every s_k = -1 inverts to one with
+    every s_k = +1.
+
     Each prefix P = x^s_0 c_0 ... x^s_(m-1) is evaluated once, as the
     vector of its values: w(x) != 1 iff P(x) != c_(m-1)^-1, and c_(m-1)^-1
     ranges over the whole group, so the masks of all words sharing P are
     the complements of P's fibers, empty fibers giving the full mask.
     Prefixes are walked level by level in the number of variable
-    occurrences; a level that will be extended is kept as a set of
-    distinct vectors, so equal prefixes are extended once, and the last
-    level is evaluated as it is generated, without being stored.
+    occurrences, from the single vector x -> x; a level that will be
+    extended is kept as a set of distinct vectors, so equal prefixes are
+    extended once, and the last level is evaluated as it is generated,
+    without being stored.
     """
     if max_vars < 1:
         return []
@@ -51,7 +64,7 @@ def word_inequality_masks(mul: Sequence[int], n: int, max_vars: int) -> list[int
                 for power in powers:
                     yield [mul[r + v] for r, v in zip(rows, power)]
 
-    level: Iterable[Sequence[int]] = set(powers)
+    level: Iterable[Sequence[int]] = {powers[0]}
     for depth in range(1, max_vars):
         for prefix in level:
             record(prefix)

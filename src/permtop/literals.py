@@ -383,6 +383,8 @@ def parse_thin_set(text: str) -> ThinSet:
     if name == "finite":
         p.take("{")
         pts = p.int_list("}")
+        if not pts:
+            p.error("a finite thin set needs at least one point")
         p.take("}")
         p.expect_end()
         return ThinSet.explicit(pts)

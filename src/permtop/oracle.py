@@ -207,8 +207,10 @@ def _conj_fibers(g: FiniteGroup, b: int) -> dict[int, int]:
 
 
 def _word_work(n: int, max_word_len: int) -> int:
-    """Table entries `word_inequality_masks` computes: each of the
-    2 (2n)^(m-1) prefixes with m variable occurrences is a vector of n."""
+    """Admission rule for `word_inequality_masks`: table entries in the
+    full enumeration of prefixes, where each of the 2 (2n)^(m-1) prefixes
+    with m variable occurrences is a vector of n. The kernel walks only
+    the half that starts with x, and extends equal vectors once."""
     return n * sum(2 * (2 * n) ** (m - 1) for m in range(1, max_word_len + 1))
 
 

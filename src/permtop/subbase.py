@@ -15,7 +15,7 @@ built still goes through the one validating `ResiduePerm` constructor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import NotInvolution, NotMember, WitnessError, InfiniteSupport
 from .perm import ResiduePerm, commutes, conjugate, identity, intertwines

@@ -25,7 +25,7 @@ from .errors import (
     WitnessError,
 )
 from .perm import ResiduePerm, from_mapping, identity, noncommuting_transposition, transposition
-from .subbase import ConjNeq, Intersection, OpenSetExpr
+from .subbase import ConjNeq, Intersection
 
 
 def t1_separator(f: ResiduePerm, g: ResiduePerm) -> ConjNeq:

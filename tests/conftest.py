@@ -57,6 +57,26 @@ def dihedral_table_text(k):
     return f"{n}\n" + "\n".join(rows)
 
 
+def quaternion_table_text():
+    """Cayley table of the quaternion group Q8; s*u has index u + 4 j, where
+    u = 0, 1, 2, 3 stands for 1, i, j, k and s = (-1)^j."""
+    def unit_product(a, b):  # e_a e_b as (sign, unit)
+        if a == 0 or b == 0:
+            return 1, a + b
+        if a == b:
+            return -1, 0
+        return (1 if (b - a) % 3 == 1 else -1), 6 - a - b
+    rows = []
+    for x in range(8):
+        row = []
+        for y in range(8):
+            sign, u = unit_product(x % 4, y % 4)
+            negative = (sign < 0) ^ (x >= 4) ^ (y >= 4)
+            row.append(u + 4 * negative)
+        rows.append(" ".join(map(str, row)))
+    return "8\n" + "\n".join(rows)
+
+
 def reference_inverses(flat, n):
     """Inverses of a flat Cayley table by search: the least y with x y = e."""
     return [next(y for y in range(n) if flat[x * n + y] == 0) for x in range(n)]

@@ -311,6 +311,14 @@ def test_selfnorm_certify(capsys):
     assert code == 0
 
 
+def test_selfnorm_rejects_an_empty_finite_set(capsys):
+    # an empty generator set is a parse error, not a failed certificate
+    code, out, err = run(capsys, "selfnorm", "certify", "--set", "finite{}",
+                         "--element", "( z1 ; 0 )")
+    assert (code, out) == (2, "")
+    assert err == "error: a finite thin set needs at least one point (line 1, col 8)\n"
+
+
 def test_tbeta_commands(capsys):
     code, out, _ = run(capsys, "tbeta", "closed", "--f", "sigma")
     assert code == 0

@@ -5,7 +5,8 @@ import pytest
 from permtop.kernels import word_inequality_masks
 from permtop.oracle import FiniteGroup
 
-from conftest import cyclic_table_text, dihedral_table_text, reference_inverses
+from conftest import (cyclic_table_text, dihedral_table_text, quaternion_table_text,
+                      reference_inverses)
 
 
 def brute_word_masks(mul, n, max_vars):
@@ -28,7 +29,7 @@ def brute_word_masks(mul, n, max_vars):
 
 def dfs_word_masks(mul, n, max_vars):
     """Reference: the depth-first prefix walk, which extends every prefix
-    vector it reaches, equal ones included."""
+    vector it reaches, equal ones included, from both x and x^-1."""
     inv = reference_inverses(mul, n)
     full = (1 << n) - 1
     powers = (list(range(n)), inv)
@@ -57,7 +58,9 @@ def dfs_word_masks(mul, n, max_vars):
 Z4 = FiniteGroup.from_table_text("4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2")
 D4 = FiniteGroup.from_table_text(dihedral_table_text(4))
 Z6 = FiniteGroup.from_table_text(cyclic_table_text(6))
+# D6 is C2 x S3: like Q8 and D4, non-abelian with a non-trivial centre
 D6 = FiniteGroup.from_table_text(dihedral_table_text(6))
+Q8 = FiniteGroup.from_table_text(quaternion_table_text())
 
 
 def test_word_inequality_masks_s3_single_variable():
@@ -98,11 +101,21 @@ def test_word_masks_match_brute_force_cyclic_130():
     *[(FiniteGroup.symmetric(4), m) for m in (1, 2, 3)],
     *[(Z4, m) for m in (1, 2, 3, 4)],
     *[(D4, m) for m in (1, 2, 3)],
+    *[(Q8, m) for m in (1, 2, 3)],
+    *[(D6, m) for m in (1, 2, 3)],
+    (FiniteGroup.symmetric(5), 2),
 ])
 def test_word_masks_match_dfs(group, max_vars):
     n = group.order
     assert word_inequality_masks(group._flat, n, max_vars) == \
         dfs_word_masks(group._flat, n, max_vars)
+
+
+def test_quaternion_table():
+    # Q8 is the group of order 8 with a single involution, -1, and it is central
+    assert Q8.order == 8
+    assert [x for x in range(1, 8) if Q8.mul(x, x) == 0] == [4]
+    assert all(Q8.mul(4, x) == Q8.mul(x, 4) for x in range(8))
 
 
 def test_word_masks_long_words_on_tiny_groups():

@@ -22,7 +22,7 @@ from permtop.sampling import (
     random_perm_mixed,
     random_sd_element,
 )
-from permtop.selfnorm import FreeWord, SDElement, ThinSet
+from permtop.selfnorm import FreeWord, SDElement
 from permtop.subbase import (
     ConjEq,
     ConjNeq,
@@ -235,6 +235,8 @@ def test_parse_thin_set():
     assert 1 in ex and 3 not in ex
     with pytest.raises(ParseError):
         parse_thin_set("cubes")
+    with pytest.raises(ParseError, match="at least one point"):
+        parse_thin_set("finite{}")
 
 
 def test_parse_partition(rng):

@@ -7,7 +7,6 @@ from conftest import cyclic_table_text, dihedral_table_text, reference_inverses
 from permtop.errors import CarrierMismatch, NotAGroup, SpecMismatch, TooLarge
 from permtop.oracle import (
     _validate_table,
-    Comparison,
     ContinuityReport,
     FiniteGroup,
     MinNbhdMap,

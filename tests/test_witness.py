@@ -185,13 +185,29 @@ def test_closed_ball_witness_excludes_small_support(rng):
             assert not member(expr, g)
 
 
+def test_closed_ball_witness_at_radius_zero():
+    # the ball of radius 0 is {id}: one factor per moved point of g
+    t = transposition(0, 1)
+    expr, table = closed_ball_witness(t, 0)
+    assert len(expr.parts) == 2
+    assert table.levels == 0
+    assert dict(table.mapping) == {(0, 0): 2, (1, 0): 3}
+    assert member(expr, t)
+    assert not member(expr, identity())
+    with pytest.raises(SupportTooSmall):
+        closed_ball_witness(identity(), 0)
+
+
 def test_closed_ball_witness_errors():
     with pytest.raises(InfiniteSupport):
         closed_ball_witness(sigma(), 2)
     with pytest.raises(SupportTooSmall):
         closed_ball_witness(transposition(0, 1), 2)
-    with pytest.raises(SupportTooSmall):
+    with pytest.raises(SupportTooSmall) as caught:
         closed_ball_witness(ResiduePerm.from_cycles((0, 1, 2)), 3)
+    # the error names the support size and the size a witness needs
+    assert caught.value.size == 3
+    assert str(caught.value) == "support has 3 points, need 4"
 
 
 def test_point_support_witness_frozen():
