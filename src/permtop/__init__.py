@@ -36,7 +36,7 @@ from .literals import (expr_to_literal, parse_epset, parse_expr, parse_free_word
                        parse_group_word, parse_partition, parse_perm,
                        parse_sd_element, parse_thin_set, word_to_literal)
 from .errors import (BadCardinality, BadResidueShift, CarrierMismatch,
-                     EqualInputs, FiniteSupport, FixedPointGiven, Gap,
+                     EqualInputs, FiniteSupport, Gap,
                      IdentityInput, InfiniteSupport, NegativeImage, NotAGroup,
                      NotBijective, NotInvolution, NotMember, OddModulus,
                      OracleError, Overlap, ParseError, PartitionError,

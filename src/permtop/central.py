@@ -123,10 +123,12 @@ def double_centralizer_window(perms: Sequence[ResiduePerm],
     member of F with the smallest centralizer on M. c(c(F)) is then every
     permutation commuting with the generators of c(F) (fact 2): the lifted
     C_S(M)(F), (r0 r1) and the |R|-cycle on R. Its candidates are the
-    centralizer of one element of c(F), the member of C_S(M)(F) with the
-    smallest centralizer times the |R|-cycle. The rows of c(F) are never
-    enumerated, and nothing assumes |R| >= 3: for |R| <= 2 the answer is
-    computed in S(window) all the same.
+    centralizer of h = g0 times the |R|-cycle, g0 the member of C_S(M)(F)
+    that gives h the smallest centralizer. A candidate commuting with h and
+    with the lifted g0 commutes with the |R|-cycle as well, so that
+    generator is not tested. The rows of c(F) are never enumerated, and
+    nothing assumes |R| >= 3: for |R| <= 2 the answer is computed in
+    S(window) all the same.
     """
     win = sorted(set(window))
     if not win:
@@ -150,7 +152,7 @@ def double_centralizer_window(perms: Sequence[ResiduePerm],
     r_cycle = rest[1:] + rest[:1]
     gens = [g + rest for g in c_m if g != ident]
     if n - k >= 2:
-        gens += [ident + r_cycle, ident + (k + 1, k) + rest[2:]]
+        gens.append(ident + (k + 1, k) + rest[2:])
     h = min((g + r_cycle for g in c_m), key=_centralizer_order)
     out = [from_mapping({order[j]: order[g[j]] for j in range(n)})
            for g in _centralizer(h) if all(_commute(g, s) for s in gens)]

@@ -116,9 +116,6 @@ class EPSet:
             return False
         return x % self.modulus in self.residues
 
-    def is_finite(self) -> bool:
-        return not self.residues
-
     def is_infinite(self) -> bool:
         return bool(self.residues)
 
@@ -149,13 +146,6 @@ class EPSet:
         # Members are the added points and, per residue, its class minus
         # the removed points: O(|corrections| + modulus).
         return _least(self.added, self.residues, self.modulus, self.removed)
-
-    def least_outside(self) -> int:
-        x = _least(self.removed, frozenset(range(self.modulus)) - self.residues,
-                   self.modulus, self.added)
-        if x is None:
-            raise ValueError("set covers all naturals")
-        return x
 
     # -- boolean algebra ---------------------------------------------------
 

@@ -54,12 +54,6 @@ class IdentityInput(WitnessError):
         super().__init__(f"the identity permutation is not admissible here{where}")
 
 
-class FixedPointGiven(WitnessError):
-    def __init__(self, point: int):
-        self.point = point
-        super().__init__(f"{point} is a fixed point of the permutation")
-
-
 class EqualInputs(WitnessError):
     def __init__(self):
         super().__init__("the two permutations are equal; nothing separates them")

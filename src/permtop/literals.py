@@ -20,7 +20,8 @@ from .subbase import (ConjEq, ConjNeq, Const, DoubleConjNeq, FixesAll, GroupWord
                       Intersection, OpenSetExpr, PointFiber, SupportIn, Var, WordNeq)
 from .tbeta import Partition, validate_partition
 
-_TOKEN = re.compile(r"(\d+)|(->|[\^*()\[\]{};,|+\-:])|([A-Za-z_][A-Za-z_0-9]*)")
+# whitespace, then an int, a symbol, a name or any other (refused) character
+_TOKEN = re.compile(r"\s+|(\d+)|(->|[\^*()\[\]{};,|+\-:])|([A-Za-z_][A-Za-z_0-9]*)|(.)")
 
 
 class _Parser:
@@ -28,26 +29,18 @@ class _Parser:
         self.text = text
         self.tokens: list[tuple[str, str, int, int]] = []
         line, col = 1, 1
-        pos = 0
-        while pos < len(text):
-            ch = text[pos]
-            if ch == "\n":
-                line += 1
-                col = 1
-                pos += 1
-                continue
-            if ch.isspace():
-                col += 1
-                pos += 1
-                continue
-            m = _TOKEN.match(text, pos)
-            if not m:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
+        for m in _TOKEN.finditer(text):
             value = m.group(0)
-            kind = "int" if m.group(1) else "name" if m.group(3) else value
+            if m.lastindex is None:
+                newlines = value.count("\n")
+                line += newlines
+                col = len(value) - value.rindex("\n") if newlines else col + len(value)
+                continue
+            if m.lastindex == 4:
+                raise ParseError(f"unexpected character {value!r}", line, col)
+            kind = "int" if m.lastindex == 1 else "name" if m.lastindex == 3 else value
             self.tokens.append((kind, value, line, col))
             col += len(value)
-            pos = m.end()
         self.i = 0
 
     def _where(self) -> tuple[int, int]:
@@ -244,20 +237,22 @@ def parse_group_word(text: str) -> GroupWord:
     return _parse(text, _group_word)
 
 
+# expressions over a pair of permutations, name(a; b), and over a point set,
+# name{p, q, ...}
+_PAIR_EXPRS = {"conjneq": ConjNeq, "conjeq": ConjEq, "dconjneq": DoubleConjNeq}
+_POINT_EXPRS = {"fixes": FixesAll, "suppin": SupportIn}
+
+
 def _expr(p: _Parser) -> OpenSetExpr:
     start = p._where()
     name = p.take("name")
-    if name == "conjneq" or name == "dconjneq" or name == "conjeq":
+    if name in _PAIR_EXPRS:
         p.take("(")
         first = _perm_expr(p)
         p.take(";")
         second = _perm_expr(p)
         p.take(")")
-        if name == "conjneq":
-            return p.build(start, ConjNeq, first, second)
-        if name == "conjeq":
-            return p.build(start, ConjEq, first, second)
-        return p.build(start, DoubleConjNeq, first, second)
+        return p.build(start, _PAIR_EXPRS[name], first, second)
     if name == "wordneq":
         p.take("(")
         w = _group_word(p)
@@ -270,13 +265,11 @@ def _expr(p: _Parser) -> OpenSetExpr:
         y = int(p.take("int"))
         p.take(")")
         return p.build(start, PointFiber, x, y)
-    if name in ("fixes", "suppin"):
+    if name in _POINT_EXPRS:
         p.take("{")
         pts = frozenset(p.int_list("}"))
         p.take("}")
-        if name == "fixes":
-            return p.build(start, FixesAll, pts)
-        return p.build(start, SupportIn, pts)
+        return p.build(start, _POINT_EXPRS[name], pts)
     if name == "and":
         p.take("(")
         parts = [_expr(p)]
@@ -382,12 +375,10 @@ def parse_thin_set(text: str) -> ThinSet:
         return ThinSet.squares()
     if name == "finite":
         p.take("{")
-        pts = p.int_list("}")
-        if not pts:
-            p.error("a finite thin set needs at least one point")
+        thin = p.build(p._where(), ThinSet.explicit, p.int_list("}"))
         p.take("}")
         p.expect_end()
-        return ThinSet.explicit(pts)
+        return thin
     p.error(f"unknown thin set {name!r}")
 
 

@@ -162,19 +162,18 @@ def _validate_table(flat: array, n: int) -> None:
 
 
 def build_group(source: str) -> FiniteGroup:
-    """`sn(n)` / `sn:n` for symmetric groups, `table:path` or a bare path
-    for Cayley-table files."""
-    src = source.strip()
-    if src.startswith("sn"):
-        tail = src[2:].strip("():").strip()
-        try:
-            n = int(tail)
-        except ValueError:
-            raise NotAGroup(f"bad symmetric-group spec {source!r}") from None
-        return FiniteGroup.symmetric(n)
-    if src.startswith("table:"):
-        return FiniteGroup.from_table_file(src[len("table:"):])
-    return FiniteGroup.from_table_file(src)
+    """`sn:N` for the symmetric group of degree N, `table:PATH` for a
+    Cayley-table file."""
+    kind, _, arg = source.strip().partition(":")
+    if kind == "table":
+        return FiniteGroup.from_table_file(arg)
+    if kind != "sn":
+        raise NotAGroup(f"bad group spec {source!r}: use sn:N or table:PATH")
+    try:
+        n = int(arg)
+    except ValueError:
+        raise NotAGroup(f"bad symmetric-group spec {source!r}") from None
+    return FiniteGroup.symmetric(n)
 
 
 # the sub-base families, in the order the reports list them

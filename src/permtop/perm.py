@@ -7,14 +7,16 @@ permutation, the fixed-point-free pair swap `sigma` (2m <-> 2m+1), and
 infinite-support elements of any even modulus, while keeping every
 predicate used here (equality, support, commuting, set images) decidable.
 
-Every value is built by the one constructor, which proves it bijective
-with an exact test in O(|patch| + max|shift|), independent of how far out
-the patch lies; only a rejected input pays for a window scan that names the
-least offending point. The constructor checks the residue rule, the patch
-and the minimal modulus in one pass each; the sorted patch tuple and the
-hash are derived only when asked for. Products read the factors' tables
-directly and conjugation g f g^-1 is built in one pass. `intertwines`
-decides f b f^-1 == c, and so commutation, without building anything.
+Every value is built by the one constructor, which the named permutations
+(identity, sigma, transposition, from_cycles, from_mapping) call. It proves
+each value bijective with an exact test in O(|patch| + max|shift|),
+independent of how far out the patch lies; only a rejected input pays for
+a window scan that names the least offending point. The constructor checks
+the residue rule, the patch and the minimal modulus in one pass each; the
+sorted patch tuple and the hash are derived only when asked for. Products
+read the factors' tables directly and conjugation g f g^-1 is built in one
+pass. `intertwines` decides f b f^-1 == c, and so commutation, without
+building anything.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ from collections.abc import Iterable, Mapping
 from math import lcm
 
 from .epset import EPSet
-from .errors import (
-    BadResidueShift,
-    FixedPointGiven,
-    IdentityInput,
-    NegativeImage,
-    NotBijective,
-)
+from .errors import BadResidueShift, IdentityInput, NegativeImage, NotBijective
 
 
 def _is_bijection(modulus: int, shifts: tuple[int, ...], src: list[int],
@@ -163,45 +159,6 @@ class ResiduePerm:
         # copy and pickle rebuild through the one constructor
         return ResiduePerm, (self.modulus, self.shifts, self.patch)
 
-    # -- construction -----------------------------------------------------
-
-    @staticmethod
-    def identity() -> "ResiduePerm":
-        """The identity, one shared value (instances are immutable)."""
-        return _IDENTITY
-
-    @staticmethod
-    def sigma() -> "ResiduePerm":
-        """The base involution 2m <-> 2m+1 (infinite support, no patch)."""
-        return ResiduePerm(2, (1, -1))
-
-    @staticmethod
-    def transposition(x: int, y: int) -> "ResiduePerm":
-        if x == y:
-            raise ValueError("a transposition needs two distinct points")
-        return ResiduePerm(2, (0, 0), {x: y, y: x})
-
-    @staticmethod
-    def from_cycles(*cycles: Iterable[int]) -> "ResiduePerm":
-        patch: dict[int, int] = {}
-        seen: set[int] = set()
-        for cycle in cycles:
-            cycle = tuple(cycle)
-            for p in cycle:
-                if p in seen:
-                    raise ValueError(f"point {p} repeated in cycle notation")
-                seen.add(p)
-            if len(cycle) < 2:
-                continue
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                patch[a] = b
-        return ResiduePerm(2, (0, 0), patch)
-
-    @staticmethod
-    def from_mapping(mapping: Mapping[int, int]) -> "ResiduePerm":
-        """Finitely supported permutation from an explicit point map."""
-        return ResiduePerm(2, (0, 0), mapping)
-
     # -- evaluation --------------------------------------------------------
 
     @property
@@ -282,7 +239,7 @@ class ResiduePerm:
             n >>= 1
             if n:
                 square = square * square
-        return ResiduePerm.identity() if out is None else out
+        return _IDENTITY if out is None else out
 
     # -- predicates ------------------------------------------------------------
 
@@ -375,15 +332,46 @@ class ResiduePerm:
         return self.to_literal()
 
 
+# -- constructors: the one spelling of each named permutation -----------------
+
 _IDENTITY = ResiduePerm(2, (0, 0))
 
-# -- module-level conveniences (the operation vocabulary used everywhere) ----
 
-identity = ResiduePerm.identity
-sigma = ResiduePerm.sigma
-transposition = ResiduePerm.transposition
-from_cycles = ResiduePerm.from_cycles
-from_mapping = ResiduePerm.from_mapping
+def identity() -> ResiduePerm:
+    """The identity, one shared value (instances are immutable)."""
+    return _IDENTITY
+
+
+def sigma() -> ResiduePerm:
+    """The base involution 2m <-> 2m+1 (infinite support, no patch)."""
+    return ResiduePerm(2, (1, -1))
+
+
+def transposition(x: int, y: int) -> ResiduePerm:
+    if x == y:
+        raise ValueError("a transposition needs two distinct points")
+    return ResiduePerm(2, (0, 0), {x: y, y: x})
+
+
+def from_cycles(*cycles: Iterable[int]) -> ResiduePerm:
+    patch: dict[int, int] = {}
+    seen: set[int] = set()
+    for cycle in cycles:
+        cycle = tuple(cycle)
+        for p in cycle:
+            if p in seen:
+                raise ValueError(f"point {p} repeated in cycle notation")
+            seen.add(p)
+        if len(cycle) < 2:
+            continue
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            patch[a] = b
+    return ResiduePerm(2, (0, 0), patch)
+
+
+def from_mapping(mapping: Mapping[int, int]) -> ResiduePerm:
+    """Finitely supported permutation from an explicit point map."""
+    return ResiduePerm(2, (0, 0), mapping)
 
 
 def conjugate(g: ResiduePerm, f: ResiduePerm) -> ResiduePerm:
@@ -473,21 +461,18 @@ def image(f: ResiduePerm, s: EPSet) -> EPSet:
     return EPSet(m, residues, added=added, removed=removed)
 
 
-def noncommuting_transposition(f: ResiduePerm, x: int | None = None) -> ResiduePerm:
+def noncommuting_transposition(f: ResiduePerm) -> ResiduePerm:
     """Transposition t(x, y) that fails to commute with f.
 
-    x defaults to the least moved point; y is the least point outside
-    {x, f(x)}, so t fixes f(x) while moving x, and t(f(x)) = f(x) differs
-    from f(t(x)) = f(y) by injectivity.
+    x is the least moved point; y is the least point outside {x, f(x)}, so
+    t fixes f(x) while moving x, and t(f(x)) = f(x) differs from
+    f(t(x)) = f(y) by injectivity.
     """
     if f.is_identity():
         raise IdentityInput()
-    if x is None:
-        x = f.least_moved()
+    x = f.least_moved()
     fx = f.apply(x)
-    if fx == x:
-        raise FixedPointGiven(x)
     y = 0
     while y == x or y == fx:
         y += 1
-    return ResiduePerm.transposition(x, y)
+    return transposition(x, y)

@@ -224,8 +224,8 @@ class ThinSet:
     and that is why the certifier is complete on it. For n != 0,
     2^a - 2^b = n has at most one solution (a, b), x^2 - y^2 = n has one
     per factorization n = (x - y)(x + y), and a finite set overlaps every
-    translate finitely. The empty set is the exception: its factor is
-    trivial and normalized by every element. Equality is identity.
+    translate finitely. The empty set is refused: its factor is trivial
+    and normalized by every element. Equality is identity.
     """
     name: str
     contains: Callable[[int], bool]
@@ -255,6 +255,8 @@ class ThinSet:
     @staticmethod
     def explicit(points: Iterable[int]) -> "ThinSet":
         pts = tuple(sorted(set(points)))
+        if not pts:
+            raise ValueError("a finite thin set needs at least one point")
         return ThinSet("finite{" + ",".join(map(str, pts)) + "}",
                        frozenset(pts).__contains__, lambda: iter(pts))
 

@@ -28,12 +28,6 @@ class Partition:
     def max_threshold(self) -> int:
         return max(p.threshold for p in self.pieces)
 
-    def piece_of(self, x: int) -> int:
-        for i, p in enumerate(self.pieces):
-            if x in p:
-                return i
-        raise Gap(x)
-
     def to_literal(self) -> str:
         inner = "; ".join(p.to_literal() for p in self.pieces)
         return f"part[{self.modulus}; {inner}]"

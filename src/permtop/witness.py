@@ -37,10 +37,7 @@ def t1_separator(f: ResiduePerm, g: ResiduePerm) -> ConjNeq:
     """
     if f == g:
         raise EqualInputs()
-    h = f.inverse() * g
-    x = h.least_moved()
-    t = noncommuting_transposition(h, x)
-    return ConjNeq(a=f, b=t)
+    return ConjNeq(a=f, b=noncommuting_transposition(f.inverse() * g))
 
 
 def stabilizer_closed_witness(f: ResiduePerm, points) -> ConjNeq:

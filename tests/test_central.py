@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from permtop import ResiduePerm, commutes
+from permtop import commutes
 from permtop.central import (
     _centralizer,
     _centralizer_of,
@@ -119,7 +119,7 @@ def test_double_centralizer_frozen():
     got = double_centralizer_window([t01], range(6))
     assert got == [identity(), t01]
 
-    c = ResiduePerm.from_cycles((0, 1, 2))
+    c = from_cycles((0, 1, 2))
     got = double_centralizer_window([c], range(6))
     assert got == sorted({identity(), c, c * c},
                          key=lambda p: [p.apply(x) for x in range(6)])

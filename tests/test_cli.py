@@ -10,8 +10,9 @@ import pytest
 
 import permtop
 from conftest import cyclic_table_text
-from permtop import ResiduePerm, cli, suites, witness
+from permtop import cli, suites, witness
 from permtop.errors import WitnessError
+from permtop.perm import from_cycles
 from permtop.report import Check, Report
 from permtop.selfnorm import generator
 
@@ -284,7 +285,7 @@ def test_witness_closed_ball_rejects_negative_radius(capsys):
     assert (code, out) == (2, "")
     assert "radius" in err
     with pytest.raises(WitnessError):
-        witness.closed_ball_witness(ResiduePerm.from_cycles((0, 1, 2)), -1)
+        witness.closed_ball_witness(from_cycles((0, 1, 2)), -1)
 
 
 def test_oracle_rejects_empty_subbase_list(capsys):

@@ -14,7 +14,7 @@ from permtop.literals import (
     parse_thin_set,
     word_to_literal,
 )
-from permtop.perm import identity, sigma, transposition
+from permtop.perm import from_cycles, identity, sigma, transposition
 from permtop.sampling import (
     random_epset,
     random_free_word,
@@ -41,8 +41,8 @@ from permtop.subbase import (
 def test_parse_perm_basics():
     assert parse_perm("id") == identity()
     assert parse_perm("sigma") == sigma()
-    assert parse_perm("(0 1 2)") == ResiduePerm.from_cycles((0, 1, 2))
-    assert parse_perm("(0 1)(2 3)") == ResiduePerm.from_cycles((0, 1), (2, 3))
+    assert parse_perm("(0 1 2)") == from_cycles((0, 1, 2))
+    assert parse_perm("(0 1)(2 3)") == from_cycles((0, 1), (2, 3))
     assert parse_perm("sigma * (0 1)") == sigma() * transposition(0, 1)
     assert parse_perm("res[2; 1,-1]") == sigma()
     assert parse_perm("res[4; 2,0,-2,0]") == ResiduePerm(4, (2, 0, -2, 0))
@@ -52,7 +52,7 @@ def test_parse_perm_basics():
 def test_parse_perm_powers_and_products():
     assert parse_perm("sigma^2") == identity()
     assert parse_perm("sigma^-1") == sigma()
-    assert parse_perm("(0 1 2)^-1") == ResiduePerm.from_cycles((0, 2, 1))
+    assert parse_perm("(0 1 2)^-1") == from_cycles((0, 2, 1))
     assert parse_perm("(0 1) * (1 2) * (2 3)") == (
         transposition(0, 1) * transposition(1, 2) * transposition(2, 3)
     )
@@ -95,7 +95,7 @@ def test_perm_roundtrip(rng):
         identity(),
         sigma(),
         transposition(0, 1),
-        ResiduePerm.from_cycles((0, 1, 2), (5, 6)),
+        from_cycles((0, 1, 2), (5, 6)),
         ResiduePerm(4, (2, 0, -2, 0)),
         ResiduePerm(2, (1, -1), {0: 3, 3: 0, 1: 2, 2: 1}),
     ]

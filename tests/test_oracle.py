@@ -206,13 +206,13 @@ def test_validate_table_matches_reference():
 
 def test_build_group(tmp_path):
     assert build_group("sn:4").order == 24
-    assert build_group("sn(4)").order == 24
-    p = tmp_path / "z4.txt"
+    p = tmp_path / "sn_z4.txt"
     p.write_text(Z4_TEXT)
     assert build_group(f"table:{p}").order == 4
-    assert build_group(str(p)).order == 4
-    with pytest.raises(NotAGroup):
-        build_group("sn:zzz")
+    # one spelling each: no sn(N), no bare path, even one that starts with sn
+    for spec in ("sn:zzz", "sn(4)", "sn4", str(p), "sn_z4.txt", ""):
+        with pytest.raises(NotAGroup):
+            build_group(spec)
     with pytest.raises(TooLarge, match="degree 7 > 6"):
         build_group("sn:7")
 

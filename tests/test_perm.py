@@ -16,13 +16,12 @@ from permtop import (
 )
 from permtop.errors import (
     BadResidueShift,
-    FixedPointGiven,
     IdentityInput,
     NegativeImage,
     NotBijective,
 )
 from permtop.literals import parse_perm
-from permtop.perm import identity, sigma, transposition
+from permtop.perm import from_cycles, from_mapping, identity, sigma, transposition
 from permtop.sampling import (random_epset, random_finite_perm, random_involution,
                               random_perm_mixed, random_residue_perm, random_sigma_type)
 
@@ -88,8 +87,8 @@ def test_patch_entries_matching_rule_are_dropped():
 def test_compose_follows_right_then_left():
     t01 = transposition(0, 1)
     t12 = transposition(1, 2)
-    assert t01 * t12 == ResiduePerm.from_cycles((0, 1, 2))
-    assert t12 * t01 == ResiduePerm.from_cycles((0, 2, 1))
+    assert t01 * t12 == from_cycles((0, 1, 2))
+    assert t12 * t01 == from_cycles((0, 2, 1))
     f = random_perm_mixed(__import__("random").Random(5))
     assert f * identity() == f
     assert identity() * f == f
@@ -107,8 +106,8 @@ def test_compose_pointwise(rng):
 def test_inverse(rng):
     assert identity().inverse() == identity()
     assert sigma().inverse() == sigma()
-    c = ResiduePerm.from_cycles((0, 1, 2))
-    assert c.inverse() == ResiduePerm.from_cycles((0, 2, 1))
+    c = from_cycles((0, 1, 2))
+    assert c.inverse() == from_cycles((0, 2, 1))
     for _ in range(25):
         f = random_perm_mixed(rng)
         assert (f * f.inverse()).is_identity()
@@ -118,7 +117,7 @@ def test_inverse(rng):
 
 
 def test_pow(rng):
-    c = ResiduePerm.from_cycles((0, 1, 2))
+    c = from_cycles((0, 1, 2))
     assert c**0 == identity()
     assert c**3 == identity()
     assert c**-1 == c.inverse()
@@ -133,7 +132,7 @@ def test_pow_large_exponents():
     assert parse_perm("(0 1)^1000000001") == transposition(0, 1)
     assert parse_perm("(0 1)^1000000000") == identity()
     assert sigma() ** -7 == sigma()
-    c = ResiduePerm.from_cycles((0, 1, 2, 3, 4))
+    c = from_cycles((0, 1, 2, 3, 4))
     assert c ** (5 * 10**12 + 2) == c * c
 
 
@@ -167,7 +166,7 @@ def test_pow_builds_no_throwaway_value(monkeypatch):
 
 @pytest.mark.parametrize("value", [
     transposition(0, 1),
-    ResiduePerm.from_cycles((0, 3, 5), (7, 9)),
+    from_cycles((0, 3, 5), (7, 9)),
     sigma(),
     ResiduePerm(4, (2, 0, -2, 0)) * transposition(0, 5),
 ])
@@ -187,7 +186,7 @@ def test_support(rng):
     assert support(identity()).is_empty()
     tail = sigma() * transposition(0, 1)
     assert support(tail) == EPSet.cofinite((0, 1))
-    assert support(tail).complement().is_finite()
+    assert not support(tail).complement().is_infinite()
     for _ in range(30):
         f = random_perm_mixed(rng)
         got = support(f)
@@ -207,7 +206,7 @@ def test_moved_points():
 def test_equality_and_hash():
     assert sigma() * sigma() == identity()
     assert transposition(0, 1) == transposition(1, 0)
-    a = ResiduePerm.from_cycles((0, 1, 2))
+    a = from_cycles((0, 1, 2))
     b = transposition(0, 1) * transposition(1, 2)
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
@@ -222,7 +221,7 @@ def test_hash_is_the_canonical_tuple_hash(rng):
 
 def test_identity_is_one_shared_immutable_value():
     e = identity()
-    assert e is identity() is ResiduePerm.identity()
+    assert e is identity() is identity()
     assert e == ResiduePerm(2, (0, 0)) and e.is_identity()
     with pytest.raises(AttributeError):
         e.modulus = 4
@@ -248,7 +247,7 @@ def test_redundant_patch_entries_are_canonical(rng):
 def test_commutes():
     t01 = transposition(0, 1)
     assert commutes(sigma(), t01)
-    assert not commutes(t01, ResiduePerm.from_cycles((0, 1, 2)))
+    assert not commutes(t01, from_cycles((0, 1, 2)))
     assert commutes(t01, transposition(5, 6))
     assert commutes(identity(), sigma())
 
@@ -257,8 +256,8 @@ def test_involutions():
     assert sigma().is_involution()
     assert transposition(0, 1).is_involution()
     assert identity().is_involution()
-    assert not ResiduePerm.from_cycles((0, 1, 2)).is_involution()
-    f = ResiduePerm.from_cycles((0, 1), (2, 3), (4, 5))
+    assert not from_cycles((0, 1, 2)).is_involution()
+    f = from_cycles((0, 1), (2, 3), (4, 5))
     assert f.is_involution()
     assert f.inverse() == f
 
@@ -270,7 +269,7 @@ def test_involution_iff_self_inverse(rng):
 
 
 def test_cycles():
-    f = ResiduePerm.from_cycles((0, 1, 2), (5, 6))
+    f = from_cycles((0, 1, 2), (5, 6))
     assert f.cycles() == [(0, 1, 2), (5, 6)]
     assert identity().cycles() == []
     with pytest.raises(ValueError):
@@ -279,20 +278,20 @@ def test_cycles():
 
 def test_from_cycles_rejects_repeats():
     with pytest.raises(ValueError):
-        ResiduePerm.from_cycles((0, 0, 1))
+        from_cycles((0, 0, 1))
     with pytest.raises(ValueError):
-        ResiduePerm.from_cycles((0, 1), (1, 2))
-    assert ResiduePerm.from_cycles((3,)) == identity()
-    assert ResiduePerm.from_cycles() == identity()
+        from_cycles((0, 1), (1, 2))
+    assert from_cycles((3,)) == identity()
+    assert from_cycles() == identity()
 
 
 def test_from_mapping():
-    assert ResiduePerm.from_mapping({0: 1, 1: 0}) == transposition(0, 1)
-    assert ResiduePerm.from_mapping({}) == identity()
+    assert from_mapping({0: 1, 1: 0}) == transposition(0, 1)
+    assert from_mapping({}) == identity()
     with pytest.raises(NotBijective):
-        ResiduePerm.from_mapping({0: 1, 1: 1})
+        from_mapping({0: 1, 1: 1})
     with pytest.raises(ValueError):
-        ResiduePerm.from_mapping({0: -2})
+        from_mapping({0: -2})
 
 
 def test_conjugate_relabels_transpositions(rng):
@@ -305,13 +304,11 @@ def test_conjugate_relabels_transpositions(rng):
 
 
 def test_noncommuting_transposition():
-    t = noncommuting_transposition(sigma(), 0)
+    t = noncommuting_transposition(sigma())
     assert t == transposition(0, 2)
     assert not commutes(sigma(), t)
     with pytest.raises(IdentityInput):
         noncommuting_transposition(identity())
-    with pytest.raises(FixedPointGiven):
-        noncommuting_transposition(transposition(0, 1), 5)
     u = noncommuting_transposition(transposition(3, 4))
     assert u == transposition(0, 3)
     assert not commutes(transposition(3, 4), u)
@@ -351,7 +348,7 @@ def test_to_literal_shapes():
     assert identity().to_literal() == "id"
     assert sigma().to_literal() == "sigma"
     assert transposition(0, 1).to_literal() == "(0 1)"
-    assert ResiduePerm.from_cycles((0, 1, 2), (5, 6)).to_literal() == "(0 1 2)(5 6)"
+    assert from_cycles((0, 1, 2), (5, 6)).to_literal() == "(0 1 2)(5 6)"
     assert ResiduePerm(4, (2, 0, -2, 0)).to_literal() == "res[4; 2,0,-2,0]"
     p = ResiduePerm(2, (1, -1), {0: 3, 3: 0, 1: 2, 2: 1})
     assert p.to_literal() == "res[2; 1,-1; patch: 0->3, 1->2, 2->1, 3->0]"

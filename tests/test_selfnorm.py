@@ -290,11 +290,16 @@ def reference_certify(h, a, depth):
     return Inconclusive(tuple(tried))
 
 
+def test_empty_thin_set_is_refused():
+    # F_A is trivial for A empty: every element normalizes it
+    with pytest.raises(ValueError, match="at least one point"):
+        ThinSet.explicit([])
+
+
 @pytest.mark.parametrize("a", [
     ThinSet.powers_of_two(),
     ThinSet.squares(),
     ThinSet.explicit((0, 5)),
-    ThinSet.explicit(()),
     ThinSet.explicit((-1, 2)),
 ], ids=lambda a: a.name)
 def test_certify_matches_trial_conjugation(a):

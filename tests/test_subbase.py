@@ -2,7 +2,7 @@ import pytest
 
 from permtop import ResiduePerm, conjugate
 from permtop.errors import InfiniteSupport, NotInvolution, NotMember, WitnessError
-from permtop.perm import identity, sigma, transposition
+from permtop.perm import from_cycles, from_mapping, identity, sigma, transposition
 from permtop.sampling import (random_finite_perm, random_involution, random_perm_mixed,
                               random_sigma_type)
 from permtop.subbase import (
@@ -33,7 +33,7 @@ def perm_with_pairs(pairs):
     extra_dst = sorted(set(m) - set(m.values()))
     for s, d in zip(extra_src, extra_dst):
         m[s] = d
-    return ResiduePerm.from_mapping(m)
+    return from_mapping(m)
 
 
 def test_word_construction():
@@ -52,7 +52,7 @@ def test_eval_word():
     w = GroupWord.conj(transposition(0, 1))
     assert eval_word(w, transposition(1, 2)) == transposition(0, 2)
     inv = GroupWord((Var(-1),))
-    c = ResiduePerm.from_cycles((0, 1, 2))
+    c = from_cycles((0, 1, 2))
     assert eval_word(inv, c) == c.inverse()
     both = GroupWord((Var(1), Var(1)))
     assert eval_word(both, c) == c * c
@@ -109,7 +109,7 @@ def test_membership_shapes():
 
 
 def test_involution_guards():
-    c = ResiduePerm.from_cycles((0, 1, 2))
+    c = from_cycles((0, 1, 2))
     with pytest.raises(NotInvolution):
         ConjNeq(identity(), c)
     with pytest.raises(NotInvolution):
@@ -272,10 +272,10 @@ def _count_builds(monkeypatch):
 
 def test_conjugation_membership_build_counts(monkeypatch):
     t, u = transposition(0, 1), transposition(2, 3)
-    a = ResiduePerm.from_cycles((0, 2, 4))
-    f, at, h = transposition(0, 3), a * t, ResiduePerm.from_cycles((1, 2, 3))
+    a = from_cycles((0, 2, 4))
+    f, at, h = transposition(0, 3), a * t, from_cycles((1, 2, 3))
     neq, eq, dbl = ConjNeq(a, t), ConjEq(a, t), DoubleConjNeq(t, u)
-    g = ResiduePerm.from_cycles((0, 1, 2), (5, 6))
+    g = from_cycles((0, 1, 2), (5, 6))
     ball, _ = closed_ball_witness(g, 2)
     builds = _count_builds(monkeypatch)
     assert member(neq, f) and not member(neq, a) and not member(neq, at)

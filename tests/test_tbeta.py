@@ -120,8 +120,8 @@ def test_validate_partition_far_corrections():
 
 def test_partition_lookup():
     part = validate_partition([EPSet.evens(), EPSet.odds()])
-    assert part.pieces[part.piece_of(4)] == EPSet.evens()
-    assert part.pieces[part.piece_of(7)] == EPSet.odds()
+    assert [4 in p for p in part.pieces] == [True, False]
+    assert [7 in p for p in part.pieces] == [False, True]
     assert part.to_literal() == "part[2; ep[2; 0]; ep[2; 1]]"
     assert part.max_threshold() >= 0
 
@@ -202,6 +202,17 @@ def test_infinite_support_stabilizer_random(rng):
         h = infinite_support_stabilizer(part)
         assert stabilizes(h, part)
         assert not h.has_finite_support()
+
+
+def test_infinite_support_stabilizer_moves_only_its_piece():
+    # the pinned prefix keeps every patched point of the piece's class fixed
+    rng = random.Random(124)
+    for _ in range(200):
+        part = random_partition(rng)
+        h = infinite_support_stabilizer(part)
+        piece = next(p for p in part.pieces if p.is_infinite())
+        assert h.support().issubset(piece), part
+        assert stabilizes(h, part), part
 
 
 def test_alpha_basic_equivalence():
