@@ -165,7 +165,7 @@ def build_group(source: str) -> FiniteGroup:
     """`sn:N` for the symmetric group of degree N, `table:PATH` for a
     Cayley-table file."""
     kind, _, arg = source.strip().partition(":")
-    if kind == "table":
+    if kind == "table" and arg:
         return FiniteGroup.from_table_file(arg)
     if kind != "sn":
         raise NotAGroup(f"bad group spec {source!r}: use sn:N or table:PATH")

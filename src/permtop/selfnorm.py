@@ -9,7 +9,9 @@ shift automorphism z_k -> z_{k+1}, multiplied by
 Values are tuples: a FreeWord is the tuple of its syllables and an
 SDElement the pair (word, shift), each equal only to its own type. A
 product takes one pass, shifting u's syllables while cancelling them
-against v at the junction, and builds one word and one element.
+against v at the junction, and builds one word and one element; so does
+a conjugate h w h^-1, which joins the three words without building the
+two intermediate elements or h^-1.
 
 For a thin set A of generators (A and A+n overlap finitely for n != 0),
 the free factor F_A is its own normalizer; the certifier below produces
@@ -72,13 +74,15 @@ class FreeWord(_TupleValue):
     __slots__ = ()
 
     def __new__(cls, syllables: Iterable[tuple[int, int]] = ()) -> "FreeWord":
-        syllables = tuple(tuple(s) for s in syllables)
+        syllables = tuple(map(tuple, syllables))
         for g, e in syllables:
             if e == 0:
                 raise ZeroExponent(g)
-        for (g1, _), (g2, _) in zip(syllables, syllables[1:]):
-            if g1 == g2:
-                raise ValueError(f"unreduced word: repeated generator {g1}")
+        last = None
+        for g, _ in syllables:
+            if g == last:
+                raise ValueError(f"unreduced word: repeated generator {g}")
+            last = g
         return _new(cls, syllables)
 
     @property
@@ -208,8 +212,16 @@ SD_ONE = SDElement(ONE, 0)
 
 
 def sd_conj(h: SDElement, w: SDElement) -> SDElement:
-    """h w h^-1."""
-    return h * w * h.inverse()
+    """h w h^-1 in one pass: for h = (u, n) and w = (v, m) it is
+
+        (u * shift^n(v) * shift^m(u^-1), m),
+
+    whose word is two junction joins, with u^-1 inverted and shifted as
+    its syllables are copied."""
+    u, n = h
+    v, m = w
+    tail = tuple([(g + m, -e) for g, e in reversed(u)])
+    return _sd((_word(_join(_join(u, v, n), tail, 0)), m))
 
 
 def word_element(v: FreeWord) -> SDElement:

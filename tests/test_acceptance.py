@@ -10,8 +10,8 @@ import pytest
 
 from permtop import suites, witness
 from permtop.perm import identity, transposition
-from permtop.selfnorm import FreeWord, MovesOut, SDElement, ThinSet, generator, sd_conj, \
-    word_element
+from permtop.selfnorm import FreeWord, MovesOut, SDElement, ThinSet, \
+    certify_self_normalizing, generator, sd_conj, word_element
 from permtop.suites import CRITERIA, SUITES, _fixed_pairs, _pair_bit, criterion_2, \
     run_suite
 
@@ -68,6 +68,25 @@ def test_a_failed_check_ends_its_item(monkeypatch):
     assert calls == []
     assert result.detail == \
         "1 of 1 items failed; first failure: generator in the set on item 1"
+
+
+def test_check_self_normalizing_recomputes_the_conjugate():
+    # a tampered conjugate fails the recomputation and only that check
+    pow2 = ThinSet.powers_of_two()
+    for h in (SDElement(FreeWord(((3, 1),)), 0), SDElement(FreeWord(()), 1),
+              SDElement(FreeWord(((3, 1), (1, -2))), 2)):
+        verdict = certify_self_normalizing(h, pow2)
+        assert isinstance(verdict, MovesOut)
+        assert all(ok for _, ok, _ in suites.check_self_normalizing(h, pow2, verdict))
+        word, shift = verdict.conjugate
+        tampered = [SDElement(word, 1)]
+        for i, (g, e) in enumerate(word):
+            tampered.append(SDElement(
+                FreeWord(word[:i] + ((g, -e),) + word[i + 1:]), shift))
+        for conj in tampered:
+            checks = suites.check_self_normalizing(h, pow2, MovesOut(verdict.witness, conj))
+            assert [name for name, ok, _ in checks if not ok] == \
+                ["conjugate recomputed"], conj
 
 
 def slow_clock(monkeypatch):

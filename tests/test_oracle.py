@@ -213,6 +213,9 @@ def test_build_group(tmp_path):
     for spec in ("sn:zzz", "sn(4)", "sn4", str(p), "sn_z4.txt", ""):
         with pytest.raises(NotAGroup):
             build_group(spec)
+    # an empty table path is a bad spec, not a read of the directory "."
+    with pytest.raises(NotAGroup, match=r"bad group spec 'table:': use sn:N or table:PATH"):
+        build_group("table:")
     with pytest.raises(TooLarge, match="degree 7 > 6"):
         build_group("sn:7")
 

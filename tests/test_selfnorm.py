@@ -145,10 +145,20 @@ def test_validating_constructor_errors():
         FreeWord(((1, 1), (1, 1)))
     with pytest.raises(ZeroExponent, match="generator 2 has exponent 0"):
         FreeWord.from_raw([(1, 1), (2, 0)])
+    # every zero exponent is reported before any repeated generator
+    with pytest.raises(ZeroExponent, match="generator 3 has exponent 0"):
+        FreeWord(((2, 1), (2, 1), (3, 0)))
+    # syllables may be lists, and each must be a pair
     assert FreeWord(syllables=[[1, 2], (3, -1)]) == FreeWord(((1, 2), (3, -1)))
+    with pytest.raises(ValueError):
+        FreeWord(((1, 2, 3),))
+    with pytest.raises(ValueError):
+        FreeWord(((1,),))
+    with pytest.raises(TypeError):
+        FreeWord((5,))
 
 
-# -- the one-pass product and inverse against free reduction ---------------------
+# -- the one-pass product, inverse and conjugate against free reduction ----------
 
 def _short_words():
     """Every reduced word of length <= 2 over z0, z1, z2, exponents +-1."""
@@ -171,10 +181,20 @@ def test_one_pass_product_matches_free_reduction():
         assert h * h.inverse() == SD_ONE, h
         assert h.inverse() == SDElement(
             FreeWord.from_raw([(g - n, -e) for g, e in reversed(v)]), -n), h
+        assert sd_conj(h, h) == h, h
+        assert sd_conj(h, h.inverse()) == h.inverse(), h
+        assert sd_conj(h, SD_ONE) == SD_ONE, h
+        vinv = [(g, -e) for g, e in reversed(v)]
         for k in elements:
             u, m = k.word, k.shift
             assert h * k == SDElement(
                 FreeWord.from_raw(list(v) + [(g + n, e) for g, e in u]), n + m), (h, k)
+            # h k h^-1 = (v * shift^n(u) * shift^m(v^-1), m)
+            conj = sd_conj(h, k)
+            assert conj == h * k * h.inverse(), (h, k)
+            assert conj == SDElement(FreeWord.from_raw(
+                list(v) + [(g + n, e) for g, e in u] + [(g + m, e) for g, e in vinv]),
+                m), (h, k)
 
 
 def test_thin_sets():
