@@ -9,26 +9,30 @@ over element indices; the identity always has index 0.
 Group facts are read off whole rows (one-line images or Cayley-table
 rows): products compose rows, associativity is row(ab) = row(a) o row(b)
 per pair, the inverse of i is where the identity sits in row i, and the
-point fibers `tp` come from one pass over the rows.
+point fibers `tp` come from one pass over the rows. Past validation, the
+table is read a whole row or column at a time in C (`_line`), never one
+product per method call.
 
 The conjugation families `cent`, `zpp` and `zp` come from the fibers of
-x -> x b x^-1, which are the left cosets of the centralizer C(b): one pass
-over the group per b, O(n^2) in all (see `generate_subbase` for why the
-`zp` sets are unions of such fibers).
+x -> x b x^-1, which are the left cosets of the centralizer C(b): one read
+of column b gives x b x^-1 for every x. `cent` builds the fibers once per
+distinct centralizer, found where row b and column b agree, and `zp`
+decides whether d commutes with b as d in C(b), b's own fiber (see
+`generate_subbase` for why the `zp` sets are unions of fibers).
 
 Every family `generate_subbase` builds is closed under left translation,
-so min(g) = gU with U = min(e): one pass over the family finds U
-(`min_neighborhoods`). Continuity is read off U too: the translations are
-continuous iff min(g) = gU = Ug, and then the group is topological
-(`ContinuityReport`).
+so min(g) = gU with U = min(e): one pass over the family finds U, and one
+column read per element of U gives gU for every g (`min_neighborhoods`).
+Continuity is read off U too: the translations are continuous iff
+min(g) = gU = Ug, and then the group is topological (`ContinuityReport`).
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import permutations
-from operator import itemgetter
+from itertools import compress, permutations, repeat
+from operator import add, eq, itemgetter, lshift, or_
 from pathlib import Path
 
 from . import kernels
@@ -173,6 +177,8 @@ def build_group(source: str) -> FiniteGroup:
         n = int(arg)
     except ValueError:
         raise NotAGroup(f"bad symmetric-group spec {source!r}") from None
+    if n < 1:
+        raise NotAGroup(f"bad symmetric-group spec {source!r}: degree must be positive")
     return FiniteGroup.symmetric(n)
 
 
@@ -192,17 +198,46 @@ class SubbaseSpec:
             raise ValueError("word length bound must be at least 1")
 
 
+def _line(g: FiniteGroup, start: int, step: int) -> array:
+    """The n table entries from flat position `start` on, `step` apart, in
+    one C-level read: row i is (i n, 1), column j is (j, n) and the
+    diagonal of squares is (0, n + 1). Past table validation, every row
+    and column read goes through here."""
+    return g._flat[start:start + g.order * step:step]
+
+
 def _involutions(g: FiniteGroup) -> list[int]:
-    return [b for b in range(g.order) if g.mul(b, b) == 0]
+    return [b for b, square in enumerate(_line(g, 0, g.order + 1)) if not square]
+
+
+def _centralizers(g: FiniteGroup) -> list[int]:
+    """C(b) as a mask for every b: the x where row b and column b agree."""
+    n = g.order
+    bits = [1 << x for x in range(n)]
+    return [sum(compress(bits, map(eq, _line(g, b * n, 1), _line(g, b, n))))
+            for b in range(n)]
 
 
 def _conj_fibers(g: FiniteGroup, b: int) -> dict[int, int]:
-    """d -> {x : x b x^-1 = d} as a mask; these are the left cosets of C(b)."""
+    """d -> {x : x b x^-1 = d} as a mask; these are the left cosets of C(b).
+    x b x^-1 is entry (x b, x^-1), so column b locates all n of them."""
+    n = g.order
+    if n == 1:  # itemgetter of one position returns the bare entry
+        return {0: 1}
+    conj = itemgetter(*map(add, map(n.__mul__, _line(g, b, n)), g.inverse))(g._flat)
     fibers: dict[int, int] = {}
-    for x in range(g.order):
-        d = g.conj(x, b)
+    for x, d in enumerate(conj):
         fibers[d] = fibers.get(d, 0) | 1 << x
     return fibers
+
+
+def _translates(n: int, lines) -> list[int]:
+    """Per g, the set of the g-th entries across `lines`, as a mask: g U
+    for every g when the lines are the columns u of U, U g for the rows."""
+    out = [0] * n
+    for line in lines:
+        out = list(map(or_, out, map(lshift, repeat(1), line)))
+    return out
 
 
 def _word_work(n: int, max_word_len: int) -> int:
@@ -230,11 +265,13 @@ def generate_subbase(group: FiniteGroup, spec: SubbaseSpec) -> Subbase:
     """The full deduplicated sub-base family as sorted bitmasks.
 
     `cent`, `zpp` and `zp` are read off the conjugation fibers of each b,
-    the left cosets a C(b) = {x : x b x^-1 = a b a^-1}: `cent` is every
-    fiber, `zpp` every complement of a fiber of an involution b. The `zp`
-    set {x : (x c x^-1) b (x c x^-1)^-1 != b} of involutions b, c is the
-    union of the fibers of c whose conjugate d does not commute with b,
-    since d b d^-1 = b iff d b = b d.
+    the left cosets a C(b) = {x : x b x^-1 = a b a^-1}, with one column
+    read per b: `cent` is every fiber, built once per distinct centralizer
+    C(b) (equal centralizers have equal cosets), and `zpp` every complement
+    of a fiber of an involution b. The `zp` set
+    {x : (x c x^-1) b (x c x^-1)^-1 != b} of involutions b, c is the union
+    of the fibers of c whose conjugate d does not commute with b, since
+    d b d^-1 = b iff d is in C(b), which is b's own fiber.
 
     Every family is closed under left translation by s:
       - `tp`: s {x : x(i) = j} = {y : y(i) = s(j)};
@@ -264,17 +301,20 @@ def generate_subbase(group: FiniteGroup, spec: SubbaseSpec) -> Subbase:
         for fb in fibers.values():
             masks.update(full ^ f for f in fb.values())
         if spec.kind == "zp":
-            mul = group.mul
-            for b in fibers:
+            for b, fb in fibers.items():
+                cb = fb[b]
                 for fc in fibers.values():
                     m = full
                     for d, f in fc.items():
-                        if mul(d, b) == mul(b, d):
+                        if cb >> d & 1:
                             m ^= f
                     masks.add(m)
     elif spec.kind == "cent":
-        for b in range(n):
-            masks.update(_conj_fibers(group, b).values())
+        seen: set[int] = set()
+        for b, cb in enumerate(_centralizers(group)):
+            if cb not in seen:
+                seen.add(cb)
+                masks.update(_conj_fibers(group, b).values())
     else:  # zariski
         work = _word_work(n, spec.max_word_len)
         if work > FiniteGroup.WORD_WORK_LIMIT:
@@ -308,8 +348,9 @@ def min_neighborhoods(group: FiniteGroup, family: Subbase) -> MinNbhdMap:
     """min(g) = g U, where U = min(e) is the intersection of the sets that
     hold the identity: the family is closed under left translation, so the
     sets holding g are the g T with e in T. One pass over the family and
-    2 n |U| products. Refuses any family `generate_subbase` did not build
-    for this group, since the translation is only valid there."""
+    one column read per element of U. Refuses any family `generate_subbase`
+    did not build for this group, since the translation is only valid
+    there."""
     if not isinstance(family, Subbase) or family.group is not group:
         raise SpecMismatch("minimal neighborhoods need a family that "
                            "generate_subbase built for this group")
@@ -318,7 +359,7 @@ def min_neighborhoods(group: FiniteGroup, family: Subbase) -> MinNbhdMap:
     for s in family:
         if s & 1:
             u &= s
-    return MinNbhdMap(n, tuple(translate_set(group, g, u, 0) for g in range(n)))
+    return MinNbhdMap(n, tuple(_translates(n, (_line(group, x, n) for x in mask_bits(u)))))
 
 
 def _check_mask(mask: int, order: int) -> None:
@@ -424,16 +465,23 @@ def classify_continuity(group: FiniteGroup, nbhd: MinNbhdMap) -> ContinuityRepor
     """Translations: a min(x) in min(ax) for all a, x iff min(a) = aU, and
     likewise on the right. Conjugations: v a v^-1 = w b w^-1 with w = vx^-1
     and b = xax^-1, so they are continuous iff w b w^-1 lies in min(b) for
-    all b and all w in W = {vx^-1 : v in min(x)}. O(n^2) products."""
+    all b and all w in W = {vx^-1 : v in min(x)}. One column and one row
+    read per element of U for the translations, and per w in W, row w and
+    column w^-1 give w b w^-1 for every b: O(n^2) entries."""
     n = group.order
     if nbhd.order != n:
         raise CarrierMismatch(n, nbhd.order)
     masks = nbhd.masks
-    translations = all(masks[g] == translate_set(group, g, masks[0], 0)
-                       == translate_set(group, 0, masks[0], g) for g in range(n))
-    shifts = {group.mul(v, group.inverse[x])
+    us = mask_bits(masks[0])
+    translations = (list(masks) == _translates(n, (_line(group, u, n) for u in us))
+                    == _translates(n, (_line(group, u * n, 1) for u in us)))
+    flat, inverse = group._flat, group.inverse
+    shifts = {flat[v * n + inverse[x]]
               for x in range(n) for v in mask_bits(masks[x])}
-    conjugators = all(masks[b] >> group.conj(w, b) & 1
-                      for w in shifts for b in range(n))
+    conjugators = all(
+        m >> d & 1
+        for w in shifts
+        for m, d in zip(masks, map(_line(group, inverse[w], n).__getitem__,
+                                   _line(group, w * n, 1))))
     return ContinuityReport(translations, translations, translations,
                             translations, conjugators)

@@ -3,7 +3,13 @@ from array import array
 
 import pytest
 
-from conftest import cyclic_table_text, dihedral_table_text, reference_inverses
+from conftest import (
+    cyclic_table_text,
+    dihedral_table_text,
+    quaternion_table_text,
+    reference_inverses,
+)
+from permtop import oracle
 from permtop.errors import CarrierMismatch, NotAGroup, SpecMismatch, TooLarge
 from permtop.oracle import (
     _validate_table,
@@ -35,10 +41,24 @@ LOOP5_TEXT = """5
 4 2 0 1 3"""
 
 
+def direct_product_text(first, second):
+    """Cayley table of first x second; (a, b) has index a |second| + b."""
+    m = second.order
+    n = first.order * m
+    rows = [" ".join(str(first.mul(x // m, y // m) * m + second.mul(x % m, y % m))
+                     for y in range(n)) for x in range(n)]
+    return f"{n}\n" + "\n".join(rows)
+
+
 def small_group(source):
-    """`sn:k`, or a Cayley table: z4, z6, z12 (cyclic), d8, d12 (dihedral)."""
+    """`sn:k`, or a Cayley table: z4, z6, z12 (cyclic), d8, d12 (dihedral),
+    q8 (quaternion), c2xs3 (C2 x S3)."""
     texts = {"z4": Z4_TEXT, "z6": cyclic_table_text(6), "z12": cyclic_table_text(12),
-             "d8": dihedral_table_text(4), "d12": dihedral_table_text(6)}
+             "d8": dihedral_table_text(4), "d12": dihedral_table_text(6),
+             "q8": quaternion_table_text()}
+    if source == "c2xs3":
+        texts[source] = direct_product_text(FiniteGroup.from_table_text(
+            cyclic_table_text(2)), FiniteGroup.symmetric(3))
     if source in texts:
         return FiniteGroup.from_table_text(texts[source])
     return build_group(source)
@@ -213,6 +233,11 @@ def test_build_group(tmp_path):
     for spec in ("sn:zzz", "sn(4)", "sn4", str(p), "sn_z4.txt", ""):
         with pytest.raises(NotAGroup):
             build_group(spec)
+    # a degree below 1 is a bad spec, named in the message
+    for spec in ("sn:0", "sn:-1"):
+        with pytest.raises(NotAGroup, match=f"bad symmetric-group spec '{spec}': "
+                                            "degree must be positive"):
+            build_group(spec)
     # an empty table path is a bad spec, not a read of the directory "."
     with pytest.raises(NotAGroup, match=r"bad group spec 'table:': use sn:N or table:PATH"):
         build_group("table:")
@@ -334,8 +359,10 @@ def reference_conj_family(group, kind):
     return tuple(sorted(masks))
 
 
+# z12, d12, q8 and c2xs3 have a non-trivial centre and distinct b that
+# share a centralizer, so `cent` builds fibers for the fewest b there
 @pytest.mark.parametrize("source", ["sn:1", "sn:2", "sn:3", "sn:4", "sn:5",
-                                    "z4", "z6", "d8"])
+                                    "z4", "z6", "z12", "d8", "d12", "q8", "c2xs3"])
 @pytest.mark.parametrize("kind", ["cent", "zpp", "zp"])
 def test_conjugation_families_match_reference(source, kind):
     group = small_group(source)
@@ -402,7 +429,7 @@ def _families(group, max_word_len=4):
 
 
 @pytest.mark.parametrize("source", ["sn:1", "sn:2", "sn:3", "sn:4", "sn:5",
-                                    "z4", "z6", "z12", "d8", "d12"])
+                                    "z4", "z6", "z12", "d8", "d12", "q8", "c2xs3"])
 def test_min_neighborhoods_match_reference(source):
     group = small_group(source)
     for spec, family in _families(group):
@@ -411,9 +438,9 @@ def test_min_neighborhoods_match_reference(source):
 
 
 def test_min_neighborhoods_on_s6(s6, monkeypatch):
-    # one pass over the family and at most 2 n |U| products; the reference
-    # probe is skipped on cent (27,710 sets) and zariski (66,051 sets),
-    # where it takes seconds
+    # one pass over the family and one column of n entries per element of
+    # U; the reference probe is skipped on cent (27,710 sets) and zariski
+    # (66,051 sets), where it takes seconds
     passes = [0]
 
     def counted_iter(self, it=tuple.__iter__):
@@ -425,9 +452,9 @@ def test_min_neighborhoods_on_s6(s6, monkeypatch):
         family = generate_subbase(s6, SubbaseSpec(kind, 2))
         passes[0] = 0
         monkeypatch.setattr(Subbase, "__iter__", counted_iter)
-        calls = _count_products(monkeypatch)
+        reads = _count_reads(monkeypatch)
         nbhd = maps[kind] = min_neighborhoods(s6, family)
-        assert calls[0] <= 2 * s6.order * bin(nbhd.masks[0]).count("1"), kind
+        assert 0 < reads[0] <= s6.order * bin(nbhd.masks[0]).count("1"), kind
         assert passes[0] == 1, kind
         monkeypatch.undo()
         if kind not in ("cent", "zariski"):
@@ -661,7 +688,7 @@ def _differential_maps(group, rng):
 
 
 @pytest.mark.parametrize("source", ["sn:1", "sn:2", "sn:3", "sn:4", "sn:5",
-                                    "z4", "z6", "z12", "d8", "d12"])
+                                    "z4", "z6", "z12", "d8", "d12", "q8", "c2xs3"])
 def test_classify_continuity_matches_reference(source):
     group = small_group(source)
     maps = _differential_maps(group, random.Random(source))
@@ -679,16 +706,19 @@ def test_classify_continuity_matches_reference(source):
         assert len({rep.joint_q for rep in outcomes}) == 2
 
 
-def _count_products(monkeypatch):
-    calls = [0]
-    mul = FiniteGroup.mul
+def _count_reads(monkeypatch):
+    """Table entries read through `oracle._line`, the oracle's one row and
+    column reader."""
+    reads = [0]
+    line = oracle._line
 
-    def counted(self, i, j):
-        calls[0] += 1
-        return mul(self, i, j)
+    def counted(group, start, step):
+        out = line(group, start, step)
+        reads[0] += len(out)
+        return out
 
-    monkeypatch.setattr(FiniteGroup, "mul", counted)
-    return calls
+    monkeypatch.setattr(oracle, "_line", counted)
+    return reads
 
 
 def test_classify_continuity_indiscrete_order_200(monkeypatch):
@@ -699,16 +729,19 @@ def test_classify_continuity_indiscrete_order_200(monkeypatch):
     group = FiniteGroup.from_table_text(cyclic_table_text(n))
     nbhd = min_neighborhoods(group, generate_subbase(group, SubbaseSpec("cent")))
     assert nbhd.masks == ((1 << n) - 1,) * n
-    calls = _count_products(monkeypatch)
+    # a column and a row per element of U = G, and per shift w in W = G
+    # row w and column w^-1
+    reads = _count_reads(monkeypatch)
     rep = classify_continuity(group, nbhd)
     assert rep == ContinuityReport(True, True, True, True, True)
-    assert calls[0] <= 8 * n * n
+    assert 0 < reads[0] <= 4 * n * n
 
 
 def test_classify_continuity_discrete_s6(s6, monkeypatch):
     nbhd = min_neighborhoods(s6, generate_subbase(s6, SubbaseSpec("tp")))
     assert topology_props(nbhd).discrete
-    calls = _count_products(monkeypatch)
+    # U = W = {e}: two lines for the translations, two for conjugation by e
+    reads = _count_reads(monkeypatch)
     rep = classify_continuity(s6, nbhd)
     assert rep == ContinuityReport(True, True, True, True, True)
-    assert calls[0] <= 8 * s6.order
+    assert 0 < reads[0] <= 4 * s6.order
