@@ -1,6 +1,7 @@
-"""Command-line front end: parse literals, run one verification command,
-emit a deterministic report. A certificate command checks its witness
-with the certificate check in `suites` that the acceptance criteria use.
+"""Command-line front end: read every value with `literals`, run one
+verification command, emit a deterministic report. A certificate command
+checks its witness with the certificate check in `suites` that the
+acceptance criteria use.
 
 Exit codes: 0 when every check in the report passed, 1 when a check
 failed (the report carries the counterexample), 2 for usage, parse, or
@@ -22,13 +23,7 @@ from .report import Report
 from .selfnorm import MovesOut, certify_self_normalizing
 from .subbase import member
 
-
-def _int_list(text: str) -> list[int]:
-    """Point lists for flags: `0,1,2` or `{0,1,2}`; empty means none."""
-    body = text.strip().removeprefix("{").removesuffix("}").strip()
-    if not body:
-        return []
-    return [int(part) for part in body.split(",")]
+_POINTS_HELP = "point set: 0,1,2 or {0,1,2}, empty for none (default)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "escaping every conjugation constraint")
     esc.add_argument("--pair", action="append", required=True,
                      metavar="'F | G'",
-                     help="constraint pair, repeatable; F must be a "
-                          "non-identity involution")
+                     help="constraint pair of two permutation literals, "
+                          "repeatable; F must be a non-identity involution")
     esc.add_argument("--anchor", type=int, default=0)
 
     ball = wsub.add_parser("closed-ball", parents=[common],
@@ -87,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="transposition avoiding --avoid and not "
                                 "commuting with --g")
     cent.add_argument("--g", required=True)
-    cent.add_argument("--avoid", default="")
+    cent.add_argument("--avoid", default="", help=_POINTS_HELP)
 
     sn = sub.add_parser("selfnorm", help="free-factor certificates")
     snsub = sn.add_subparsers(dest="shape", required=True)
@@ -112,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     alpha = tbsub.add_parser("alpha-check", parents=[common],
                              help="cover neighborhood of the identity matches "
                                   "the pointwise stabilizer of --points")
-    alpha.add_argument("--points", default="")
+    alpha.add_argument("--points", default="", help=_POINTS_HELP)
 
     ver = sub.add_parser("verify", parents=[common],
                          help="run named verification suites")
@@ -160,13 +155,8 @@ def _run_witness(args, rep: Report) -> None:
     elif args.shape == "escape":
         rep.params.update(anchor=str(args.anchor),
                           **{f"pair_{i + 1}": p for i, p in enumerate(args.pair)})
-        pairs = []
-        for text in args.pair:
-            left, bar, right = text.partition("|")
-            if not bar:
-                raise PermtopError(f"pair needs 'F | G', got {text!r}")
-            pairs.append((literals.parse_perm(left), literals.parse_perm(right)))
-        inst = witness.EscapeInstance(tuple(pairs), args.anchor)
+        inst = witness.EscapeInstance(tuple(map(literals.parse_pair, args.pair)),
+                                      args.anchor)
         u = witness.escape_witness(inst)
         rep.witness(u.to_literal())
         rep.extend(suites.check_escape(inst, u))
@@ -191,7 +181,7 @@ def _run_witness(args, rep: Report) -> None:
     else:  # cent-open
         rep.params.update(g=args.g, avoid=args.avoid)
         g = literals.parse_perm(args.g)
-        avoid = _int_list(args.avoid)
+        avoid = literals.parse_points(args.avoid)
         t = central.centralizer_not_open_witness(g, avoid)
         rep.witness(t.to_literal())
         rep.extend(suites.check_cent_open(g, avoid, t))
@@ -223,7 +213,7 @@ def _run_tbeta(args, rep: Report) -> None:
         rep.extend(suites.check_partition_stabilizer(part, h))
     else:  # alpha-check
         rep.params.update(points=args.points)
-        pts = _int_list(args.points)
+        pts = literals.parse_points(args.points)
         rep.check("cover neighborhood matches the pointwise stabilizer",
                   tbeta.alpha_basic_equivalence(pts))
 

@@ -22,6 +22,7 @@ from .errors import (
     PointwiseFixed,
     SupportTooSmall,
     SupportTooLarge,
+    TooLarge,
     WitnessError,
 )
 from .perm import ResiduePerm, from_mapping, identity, noncommuting_transposition, transposition
@@ -223,17 +224,24 @@ def point_support_witness(g: ResiduePerm, x: int, n: int) -> Intersection:
         ConjNeq(a=identity(), b=transposition(x, a)) for a in fresh))
 
 
+# largest support isolation_witness scans: 8! = 40,320 permutations
+ISOLATION_SUPPORT_LIMIT = 8
+
+
 def isolation_witness(g: ResiduePerm) -> tuple[Intersection, list[ResiduePerm]]:
     """Expression isolating g within the perms of its own support size.
 
     Any member f with |supt(f)| = |supt(g)| must move every point g moves,
     so supt(f) = supt(g) and f is one of the finitely many fixed-point-free
-    permutations of that set; they are all returned.
+    permutations of that set; they are all returned. The |supt(g)|! scan
+    refuses supports above ISOLATION_SUPPORT_LIMIT points.
     """
     if not g.has_finite_support():
         raise InfiniteSupport()
     support = g.moved_points()
     n = len(support)
+    if n > ISOLATION_SUPPORT_LIMIT:
+        raise TooLarge(f"isolation support of {n} points > {ISOLATION_SUPPORT_LIMIT}")
     expr = Intersection(tuple(point_support_witness(g, x, n) for x in support))
     candidates = []
     for images in permutations(support):

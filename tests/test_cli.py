@@ -10,11 +10,12 @@ import pytest
 
 import permtop
 from conftest import cyclic_table_text
-from permtop import cli, suites, witness
+from permtop import cli, literals, suites, witness
 from permtop.errors import WitnessError
 from permtop.perm import from_cycles
 from permtop.report import Check, Report
 from permtop.selfnorm import generator
+from permtop.subbase import OpenSetExpr
 
 
 def run(capsys, *argv):
@@ -517,16 +518,65 @@ def readme_examples():
     return examples
 
 
+# the reader of each command's `witness:` lines, in order; the last reader
+# also reads every further line
+WITNESS_READERS = {
+    ("witness", "separate"): (literals.parse_expr,),
+    ("witness", "escape"): (literals.parse_perm,),
+    ("witness", "closed-ball"): (literals.parse_expr,),
+    ("witness", "isolation"): (literals.parse_expr, literals.parse_perm),
+    ("witness", "cent-open"): (literals.parse_perm,),
+    ("selfnorm", "certify"): (literals.parse_sd_element,),
+    ("tbeta", "closed"): (literals.parse_epset,),
+    ("tbeta", "nowhere-dense"): (literals.parse_perm,),
+}
+
+
 def test_readme_command_line_examples(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "z4.txt").write_text(cyclic_table_text(4))
     examples = readme_examples()
     assert len(examples) == 10
+    read_back = 0
     for argv, report in examples:
         code, out, err = run(capsys, *argv)
         assert code == 0, (argv, out, err)
         if report is not None:
             assert out == report, argv
+        # every printed certificate reads back and prints as the same text
+        readers = WITNESS_READERS.get(tuple(argv[:2]), ())
+        lines = [line.removeprefix("witness: ") for line in out.splitlines()
+                 if line.startswith("witness: ")]
+        assert readers or not lines, argv
+        for i, text in enumerate(lines):
+            value = readers[min(i, len(readers) - 1)](text)
+            printed = (literals.expr_to_literal(value) if isinstance(value, OpenSetExpr)
+                       else value.to_literal())
+            assert printed == text, (argv, text)
+        read_back += len(lines)
+    assert read_back == 10
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--avoid", "{0,1", "expected }, found end of input (line 1, col 5)"),
+    ("--avoid", "1_000", "trailing input '_000' (line 1, col 2)"),
+    ("--points", "-1", "expected int, found '-' (line 1, col 1)"),
+    ("--points", "\u0663", "unexpected character '\u0663' (line 1, col 1)"),
+    ("--pair", "(0 1)", "expected |, found end of input (line 1, col 6)"),
+    ("--pair", "(0 1) | (\u0663 4)", "unexpected character '\u0663' (line 1, col 10)"),
+])
+def test_malformed_flag_values_are_parse_errors(capsys, flag, value, message):
+    argv = {"--avoid": ("witness", "cent-open", "--g", "sigma"),
+            "--points": ("tbeta", "alpha-check"),
+            "--pair": ("witness", "escape")}[flag]
+    code, out, err = run(capsys, *argv, f"{flag}={value}")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_isolation_refuses_a_large_support(capsys):
+    code, out, err = run(capsys, "witness", "isolation", "--g",
+                         "(0 1 2 3 4 5 6 7 8 9 10 11)")
+    assert (code, out, err) == (2, "", "error: isolation support of 12 points > 8\n")
 
 
 def test_module_runs_from_source_tree():

@@ -8,8 +8,10 @@ from permtop.literals import (
     parse_expr,
     parse_free_word,
     parse_group_word,
+    parse_pair,
     parse_partition,
     parse_perm,
+    parse_points,
     parse_sd_element,
     parse_thin_set,
     word_to_literal,
@@ -88,6 +90,46 @@ def test_parse_error_carries_position():
         assert exc.col == 4
     else:
         pytest.fail("no error raised")
+
+
+def test_digits_are_ascii():
+    # one spelling per number: other decimal digits are refused where they stand
+    for text, col in (("(\u0663 \u0664)", 2), ("(0 1)\n(2 \u0663)", 4)):
+        with pytest.raises(ParseError) as info:
+            parse_perm(text)
+        assert str(info.value) == (f"unexpected character '\u0663' "
+                                   f"(line {text.count(chr(10)) + 1}, col {col})")
+    with pytest.raises(ParseError, match="bad generator 'z1_0'"):
+        parse_free_word("z1_0")
+
+
+def test_parse_points():
+    for text in ("", "  ", "{}", "{ }"):
+        assert parse_points(text) == frozenset()
+    for text in ("0,1,2", "{0,1,2}", " { 2, 0 ,1 } ", "2,0,1,0"):
+        assert parse_points(text) == frozenset({0, 1, 2})
+    for text, message in (("{0,1", "expected }, found end of input (line 1, col 5)"),
+                          ("0,1}", "trailing input '}' (line 1, col 4)"),
+                          ("-1", "expected int, found '-' (line 1, col 1)"),
+                          ("+3", "expected int, found '+' (line 1, col 1)"),
+                          ("1_000", "trailing input '_000' (line 1, col 2)"),
+                          ("0,,1", "expected int, found ',' (line 1, col 3)"),
+                          ("0 1", "trailing input '1' (line 1, col 3)")):
+        with pytest.raises(ParseError) as info:
+            parse_points(text)
+        assert str(info.value) == message, text
+
+
+def test_parse_pair():
+    assert parse_pair("(0 1) | id") == (transposition(0, 1), identity())
+    assert parse_pair("sigma*(0 1)|(2 3)^-1") == (sigma() * transposition(0, 1),
+                                                  transposition(2, 3))
+    for text, message in (("(0 1)", "expected |, found end of input (line 1, col 6)"),
+                          ("(0 1) | id | id", "trailing input '|' (line 1, col 12)"),
+                          ("(0 1) |", "expected name, found end of input (line 1, col 8)")):
+        with pytest.raises(ParseError) as info:
+            parse_pair(text)
+        assert str(info.value) == message, text
 
 
 def test_perm_roundtrip(rng):

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from permtop import ResiduePerm, conjugate
@@ -174,6 +176,30 @@ def test_tp_open_witness_pins_membership(rng):
         fresh = max([p for p, _ in pairs] + [q for _, q in pairs] + [10]) + 1
         g2 = transposition(fresh, fresh + 1) * g
         assert member(e, g2)
+
+
+def test_tp_open_witness_pins_word_inequalities():
+    # g = f*u agrees with f on every pinned source point, so it stays a
+    # member; u runs over every permutation of the free points below 6
+    x, y = Var(1), Var(-1)
+    words = [(x, Const(transposition(0, 1))), (x, x),
+             (x, Const(transposition(0, 1)), y), (x, Const(sigma()), x),
+             (x, x, Const(from_cycles((0, 2))))]
+    checked = 0
+    for f in (sigma(), from_cycles((0, 1, 2)), transposition(1, 3)):
+        for letters in words:
+            e = WordNeq(GroupWord(letters))
+            if not member(e, f):
+                continue
+            pairs = tp_open_witness(e, f)
+            free = [q for q in range(6) if q not in {p for p, _ in pairs}]
+            for images in permutations(free):
+                u = from_mapping(dict(zip(free, images)))
+                g = f * u
+                assert all(g.apply(p) == q for p, q in pairs)
+                assert member(e, g), (letters, f, u)
+            checked += 1
+    assert checked >= 10
 
 
 def test_tp_open_witness_intersection():

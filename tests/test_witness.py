@@ -11,6 +11,7 @@ from permtop.errors import (
     PointwiseFixed,
     SupportTooLarge,
     SupportTooSmall,
+    TooLarge,
 )
 from permtop.perm import from_cycles, identity, sigma, transposition
 from permtop.sampling import random_finite_perm, random_involution, random_perm_mixed
@@ -20,6 +21,7 @@ from permtop.witness import (
     InjectiveTable,
     closed_ball_witness,
     escape_witness,
+    ISOLATION_SUPPORT_LIMIT,
     isolation_witness,
     point_support_witness,
     stabilizer_closed_witness,
@@ -260,6 +262,18 @@ def test_isolation_witness():
 
     with pytest.raises(InfiniteSupport):
         isolation_witness(sigma())
+
+
+def test_isolation_refuses_large_supports_before_scanning(monkeypatch):
+    def no_scan(points):
+        raise AssertionError("scanned the permutations of the support")
+
+    monkeypatch.setattr("permtop.witness.permutations", no_scan)
+    with pytest.raises(TooLarge, match="isolation support of 12 points > 8"):
+        isolation_witness(from_cycles(tuple(range(12))))
+    # the bound itself is admitted
+    monkeypatch.setattr("permtop.witness.permutations", lambda points: iter(()))
+    assert isolation_witness(from_cycles(tuple(range(ISOLATION_SUPPORT_LIMIT))))[1] == []
 
 
 def test_isolation_witness_random(rng):
